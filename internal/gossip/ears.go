@@ -105,7 +105,12 @@ type earsProc struct {
 	known  bitset       // G(ρ)
 	staged []sim.ProcID // gossips learned this step, published in Commit
 	ver    []int32      // ver[b]: entries of b's log seen — encodes I(ρ)
+	sumVer int64        // Σ ver, maintained by learn and merge
 	cnt    []int32      // cnt[g]: #processes whose seen prefix contains g
+	// merged[s] is the largest payload Sum merged from sender s: one
+	// sender's snapshots only grow, so a payload whose Sum is no larger
+	// repeats or predates one already merged and carries nothing.
+	merged []int64
 	// missing = |{(b,g) : g ∈ G(ρ), g not in ρ's seen prefix of b}|;
 	// the paper's completion test is missing == 0.
 	missing int64
@@ -120,8 +125,12 @@ type earsProc struct {
 	snapInts  []int32
 	plBox     sim.Payload // current boxed *earsPayload, reused until dirty
 	verDirty  bool
-	replyTo   []sim.ProcID // anti-entropy reply targets of the current step
+	replyTo   []sim.ProcID // behind senders of the current step, repeats included
+	replied   bitset       // scratch for deduplicating replyTo; empty between steps
 	quiet     int          // local steps without new information
+	// SEARS recipient sampling (fanout > 1): the drawn targets and the
+	// identity table xrand.SampleIntsInto draws them over.
+	targets, sampleTable []int
 	// quorum is the completion threshold N−F: the process may not stop
 	// before that many processes (itself included) are evidenced to know
 	// its own gossip. cnt[ID] is exactly the evidence count.
@@ -137,8 +146,17 @@ func newEarsProc(env sim.Env, ar *arena, fanout int, windowScale float64) *earsP
 		known:    newBitset(env.N),
 		ver:      make([]int32, env.N),
 		cnt:      make([]int32, env.N),
+		merged:   make([]int64, env.N),
+		replied:  newBitset(env.N),
 		verDirty: true,
 		quorum:   int32(env.N - env.F),
+	}
+	if fanout > 1 {
+		ints := make([]int, fanout+env.N-1)
+		p.targets, p.sampleTable = ints[:fanout], ints[fanout:]
+		for i := range p.sampleTable {
+			p.sampleTable[i] = i
+		}
 	}
 	// Initial knowledge: my own gossip, and the pair (me, my gossip).
 	p.learn(env.ID)
@@ -157,6 +175,7 @@ func (p *earsProc) learn(g sim.ProcID) {
 	p.missing += int64(p.env.N) - int64(p.cnt[g])
 	p.see(p.env.ID, g)
 	p.ver[p.env.ID]++
+	p.sumVer++
 	p.verDirty = true
 }
 
@@ -173,32 +192,63 @@ func (p *earsProc) see(b, g sim.ProcID) {
 // whether anything new was learned, and whether the *sender* is evidently
 // behind this process's knowledge (∃b: pl.Ver[b] < ver[b]) — the trigger
 // for an anti-entropy reply.
+//
+// Most deliveries add nothing, and those are answered from sums alone
+// (DESIGN.md §10 states the facts this rests on and where each is
+// enforced): a snapshot whose Sum does not exceed one already merged from
+// s is pointwise below it, and a receiver whose seen prefixes already
+// cover every published log entry cannot be told more by anyone. After
+// any merge ver ≥ pl.Ver pointwise, so the sender is behind on some entry
+// exactly when the sums differ.
 func (p *earsProc) merge(s sim.ProcID, pl *earsPayload) (news, senderBehind bool) {
-	// G-merge: the sender's gossip set is its log prefix.
-	for _, g := range p.ar.prefix(s, pl.GLen) {
-		if !p.known.has(int(g)) {
-			p.learn(g)
-			news = true
+	if pl.Sum > p.merged[s] {
+		p.merged[s] = pl.Sum
+		// Own staged entries are in ver[ID] but not yet in the arena.
+		if p.sumVer-int64(len(p.staged)) < p.ar.total {
+			news = p.mergeFull(s, pl)
+		}
+	}
+	return news, p.sumVer > pl.Sum
+}
+
+// mergeFull is the merge proper, for a payload that may carry news; it
+// reports whether it did.
+func (p *earsProc) mergeFull(s sim.ProcID, pl *earsPayload) (news bool) {
+	// G-merge: the sender's gossip set is its log prefix, of which the
+	// first ver[s] entries are known already — whoever vouched for that
+	// prefix had learned it, and sent its gossip set along.
+	if seen := p.ver[s]; seen < pl.GLen {
+		for _, g := range p.ar.logs[s][seen:pl.GLen] {
+			if !p.known.has(int(g)) {
+				p.learn(g)
+				news = true
+			}
 		}
 	}
 	// I-merge: take the pointwise maximum of the version vectors,
-	// accounting each newly covered log entry.
-	for b := 0; b < p.env.N; b++ {
-		v := pl.Ver[b]
-		if v < p.ver[b] {
-			senderBehind = true
-		}
-		if b == int(p.env.ID) || v <= p.ver[b] {
+	// accounting each newly covered log entry. A branch-free pass first
+	// settles whether any entry is ahead at all: the sign bit of
+	// ver[b]−v survives the OR exactly when some v > ver[b].
+	ver := p.ver[:len(pl.Ver)]
+	var ahead int32
+	for b, v := range pl.Ver {
+		ahead |= ver[b] - v
+	}
+	if ahead >= 0 {
+		return news
+	}
+	for b, v := range pl.Ver {
+		if v <= ver[b] {
 			continue
 		}
-		for _, g := range p.ar.logs[b][p.ver[b]:v] {
+		for _, g := range p.ar.logs[b][ver[b]:v] {
 			p.see(sim.ProcID(b), g)
 		}
-		p.ver[b] = v
-		p.verDirty = true
-		news = true
+		p.sumVer += int64(v - ver[b])
+		ver[b] = v
 	}
-	return news, senderBehind
+	p.verDirty = true
+	return true
 }
 
 // Step implements sim.Process.
@@ -211,7 +261,7 @@ func (p *earsProc) Step(now sim.Step, delivered []sim.Message, out *sim.Outbox) 
 			news = true
 		}
 		if behind {
-			p.noteReply(m.From)
+			p.replyTo = append(p.replyTo, m.From)
 		}
 	}
 	if news {
@@ -233,9 +283,13 @@ func (p *earsProc) Step(now sim.Step, delivered []sim.Message, out *sim.Outbox) 
 	if p.Asleep() {
 		if len(p.replyTo) > 0 {
 			pl := p.payload()
+			// One reply per sender, in order of first arrival.
 			for _, q := range p.replyTo {
-				out.Send(q, pl)
+				if p.replied.add(int(q)) {
+					out.Send(q, pl)
+				}
 			}
+			p.replied.reset()
 		}
 		return
 	}
@@ -245,7 +299,8 @@ func (p *earsProc) Step(now sim.Step, delivered []sim.Message, out *sim.Outbox) 
 		out.Send(to, pl)
 		return
 	}
-	for _, q := range p.env.RNG.SampleInts(p.env.N-1, p.fanout) {
+	p.env.RNG.SampleIntsInto(p.targets, p.sampleTable)
+	for _, q := range p.targets {
 		// Map [0, N-1) onto {0..N-1} \ {me}.
 		if q >= int(p.env.ID) {
 			q++
@@ -276,21 +331,11 @@ func (p *earsProc) payload() sim.Payload {
 		if len(p.snapBoxes) == cap(p.snapBoxes) {
 			p.snapBoxes = make([]earsPayload, 0, snapChunk)
 		}
-		p.snapBoxes = append(p.snapBoxes, earsPayload{GLen: p.ver[p.env.ID], Ver: snap})
+		p.snapBoxes = append(p.snapBoxes, newEarsPayload(p.ver[p.env.ID], snap))
 		p.plBox = &p.snapBoxes[len(p.snapBoxes)-1]
 		p.verDirty = false
 	}
 	return p.plBox
-}
-
-// noteReply records a reply target, deduplicating within the step.
-func (p *earsProc) noteReply(q sim.ProcID) {
-	for _, have := range p.replyTo {
-		if have == q {
-			return
-		}
-	}
-	p.replyTo = append(p.replyTo, q)
 }
 
 // Commit implements sim.Committer.

@@ -1,6 +1,7 @@
 package gossip
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/ugf-sim/ugf/internal/sim"
@@ -16,9 +17,9 @@ type earsHarness struct {
 	now     sim.Step
 }
 
-func newEarsHarness(n, f int, seed uint64) *earsHarness {
+func newEarsHarness(proto sim.Protocol, n, f int, seed uint64) *earsHarness {
 	envs := makeEnvs(n, f, seed)
-	built := EARS{}.New(envs)
+	built := proto.New(envs)
 	h := &earsHarness{mailbox: make([][]sim.Message, n)}
 	for _, p := range built {
 		h.procs = append(h.procs, p.(*earsProc))
@@ -50,8 +51,10 @@ func (h *earsHarness) round() {
 func (h *earsHarness) checkInvariants(t *testing.T) {
 	t.Helper()
 	n := len(h.procs)
+	checkArenaTotal(t, h.procs[0].ar)
 	for pi, p := range h.procs {
 		ar := p.ar
+		checkMergeState(t, pi, p, h.procs)
 		// ver bounds: a seen prefix can never exceed the published log
 		// plus own staged entries.
 		for b := 0; b < n; b++ {
@@ -104,13 +107,229 @@ func (h *earsHarness) checkInvariants(t *testing.T) {
 	}
 }
 
+// checkArenaTotal recomputes the arena's published-entry count.
+func checkArenaTotal(t *testing.T, ar *arena) {
+	t.Helper()
+	var total int64
+	for _, log := range ar.logs {
+		total += int64(len(log))
+	}
+	if ar.total != total {
+		t.Fatalf("arena total = %d, logs hold %d entries", ar.total, total)
+	}
+}
+
+// checkMergeState recomputes from scratch what merge's shortcuts rely on:
+// the maintained Σver, the per-sender snapshot watermarks (no larger than
+// the receiver's own sum, which absorbed that snapshot, nor the sender's
+// current one, which only grew since), the G watermark (every log prefix
+// ρ has seen is inside G(ρ), so merge may start walking at ver[s]), and
+// the per-step scratch being back in its resting state.
+func checkMergeState(t *testing.T, pi int, p *earsProc, procs []*earsProc) {
+	t.Helper()
+	var sum int64
+	for _, v := range p.ver {
+		sum += int64(v)
+	}
+	if p.sumVer != sum {
+		t.Fatalf("proc %d: sumVer = %d, Σver = %d", pi, p.sumVer, sum)
+	}
+	for s, m := range p.merged {
+		if m > p.sumVer || m > procs[s].sumVer {
+			t.Fatalf("proc %d: merged[%d] = %d exceeds own sum %d or sender's %d",
+				pi, s, m, p.sumVer, procs[s].sumVer)
+		}
+	}
+	for b, v := range p.ver {
+		if b == pi {
+			continue // own log: known is checked against it entry by entry
+		}
+		for _, g := range p.ar.logs[b][:v] {
+			if !p.known.has(int(g)) {
+				t.Fatalf("proc %d: saw %d entries of log %d but does not know gossip %d", pi, v, b, g)
+			}
+		}
+	}
+	if p.replied.count() != 0 || p.replied.popcount() != 0 {
+		t.Fatalf("proc %d: reply scratch not empty between steps", pi)
+	}
+	for i, v := range p.sampleTable {
+		if v != i {
+			t.Fatalf("proc %d: sampleTable[%d] = %d, want the identity", pi, i, v)
+		}
+	}
+}
+
 func TestEARSInvariantsUnderRandomSchedules(t *testing.T) {
-	for seed := uint64(0); seed < 8; seed++ {
-		h := newEarsHarness(9, 3, seed)
-		h.checkInvariants(t)
-		for r := 0; r < 25; r++ {
-			h.round()
+	for _, proto := range []sim.Protocol{EARS{}, SEARS{}} {
+		for seed := uint64(0); seed < 8; seed++ {
+			h := newEarsHarness(proto, 9, 3, seed)
 			h.checkInvariants(t)
+			for r := 0; r < 25; r++ {
+				h.round()
+				h.checkInvariants(t)
+			}
+		}
+	}
+}
+
+// refMerge is the merge earsProc shipped with before its cost was made to
+// follow the payload's news: walk the sender's whole log prefix, then
+// compare all N version entries. It is the specification merge is held to.
+func refMerge(p *earsProc, s sim.ProcID, pl *earsPayload) (news, senderBehind bool) {
+	// G-merge: the sender's gossip set is its log prefix.
+	for _, g := range p.ar.prefix(s, pl.GLen) {
+		if !p.known.has(int(g)) {
+			p.learn(g)
+			news = true
+		}
+	}
+	// I-merge: take the pointwise maximum of the version vectors,
+	// accounting each newly covered log entry.
+	for b := 0; b < p.env.N; b++ {
+		v := pl.Ver[b]
+		if v < p.ver[b] {
+			senderBehind = true
+		}
+		if b == int(p.env.ID) || v <= p.ver[b] {
+			continue
+		}
+		for _, g := range p.ar.logs[b][p.ver[b]:v] {
+			p.see(sim.ProcID(b), g)
+		}
+		p.ver[b] = v
+		p.verDirty = true
+		news = true
+	}
+	return news, senderBehind
+}
+
+// TestEARSMergeMatchesReference drives two copies of one system — merge
+// on one, refMerge on the other — through random schedules and compares
+// the complete protocol-visible state after every single delivery. Every
+// snapshot ever taken stays deliverable, so the schedules are full of what
+// the shortcuts exist for and must not get wrong: the same snapshot again,
+// an older snapshot after a newer one (UGF's delays do this), deliveries
+// to a receiver that has seen it all. A share of the payloads reaches the
+// merge the way the live runtime delivers them, decoded from the wire
+// into a fresh value, and a share through budgetProc's absorb-only path.
+func TestEARSMergeMatchesReference(t *testing.T) {
+	type flight struct {
+		from     sim.ProcID
+		got, ref *earsPayload
+	}
+	for seed := uint64(0); seed < 24; seed++ {
+		rng := xrand.New(xrand.Derive(seed, 77))
+		n := 3 + rng.Intn(10)
+		f := rng.Intn(n / 2)
+		got := BudgetCapped{}.New(makeEnvs(n, f, seed))
+		var gotEars, refEars []*earsProc
+		for _, p := range got {
+			gotEars = append(gotEars, p.(*budgetProc).earsProc)
+		}
+		for _, p := range (EARS{}).New(makeEnvs(n, f, seed)) {
+			refEars = append(refEars, p.(*earsProc))
+		}
+		var flights []flight
+		noNews := 0
+
+		for step := 0; step < 60*n; step++ {
+			now := sim.Step(step + 1)
+			r := rng.Intn(n)
+			g, ref := gotEars[r], refEars[r]
+			for k := rng.Intn(5); k > 0 && len(flights) > 0; k-- {
+				fl := flights[rng.Intn(len(flights))]
+				if int(fl.from) == r {
+					continue
+				}
+				pl := fl.got
+				if rng.Bernoulli(0.3) {
+					pl = wireRoundTrip(t, pl)
+				}
+				wantNews, wantBehind := refMerge(ref, fl.from, fl.ref)
+				if rng.Bernoulli(0.2) {
+					// Absorb-only: an exhausted budgetProc merges through
+					// Step and reports nothing; the state must still match.
+					bp := got[r].(*budgetProc)
+					sent := bp.sent
+					bp.sent = bp.budget
+					out := sim.NewOutbox(sim.ProcID(r), n)
+					bp.Step(now, []sim.Message{{From: fl.from, To: sim.ProcID(r), Payload: pl}}, &out)
+					bp.sent = sent
+					if out.Len() != 0 {
+						t.Fatalf("seed %d step %d: absorb-only step sent %d messages", seed, step, out.Len())
+					}
+				} else {
+					news, behind := g.merge(fl.from, pl)
+					if news != wantNews || behind != wantBehind {
+						t.Fatalf("seed %d step %d: merge(%d→%d) = (news %v, behind %v), reference (%v, %v)",
+							seed, step, fl.from, r, news, behind, wantNews, wantBehind)
+					}
+					if news {
+						g.quiet, ref.quiet = 0, 0
+					} else {
+						g.quiet++
+						ref.quiet++
+					}
+				}
+				if !wantNews {
+					noNews++
+				}
+				diffEarsState(t, seed, step, g, ref)
+			}
+			// End of the local step: maybe snapshot, then publish.
+			if rng.Bernoulli(0.6) {
+				a, b := g.payload().(*earsPayload), ref.payload().(*earsPayload)
+				flights = append(flights, flight{from: sim.ProcID(r), got: a, ref: b})
+			}
+			g.Commit(now)
+			ref.Commit(now)
+			if step%16 == 0 {
+				checkArenaTotal(t, g.ar)
+				for pi, p := range gotEars {
+					checkMergeState(t, pi, p, gotEars)
+				}
+			}
+		}
+		if noNews == 0 {
+			t.Errorf("seed %d: schedule never delivered a payload without news", seed)
+		}
+	}
+}
+
+// wireRoundTrip returns pl as the live runtime's receiver would see it.
+func wireRoundTrip(t *testing.T, pl *earsPayload) *earsPayload {
+	t.Helper()
+	data, err := encodeEars(nil, pl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := decodeEars(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec.(*earsPayload)
+}
+
+// diffEarsState compares everything about two processes that the protocol
+// or an outcome can observe.
+func diffEarsState(t *testing.T, seed uint64, step int, got, ref *earsProc) {
+	t.Helper()
+	for _, c := range []struct {
+		what     string
+		same     bool
+		got, ref any
+	}{
+		{"ver", slices.Equal(got.ver, ref.ver), got.ver, ref.ver},
+		{"cnt", slices.Equal(got.cnt, ref.cnt), got.cnt, ref.cnt},
+		{"missing", got.missing == ref.missing, got.missing, ref.missing},
+		{"known", slices.Equal(got.known.words, ref.known.words) && got.known.n == ref.known.n, got.known, ref.known},
+		{"staged", slices.Equal(got.staged, ref.staged), got.staged, ref.staged},
+		{"verDirty", got.verDirty == ref.verDirty, got.verDirty, ref.verDirty},
+		{"Asleep", got.Asleep() == ref.Asleep(), got.Asleep(), ref.Asleep()},
+	} {
+		if !c.same {
+			t.Fatalf("seed %d step %d proc %d: %s = %v, reference %v", seed, step, got.env.ID, c.what, c.got, c.ref)
 		}
 	}
 }
@@ -121,7 +340,7 @@ func TestEARSConverges(t *testing.T) {
 	// processes to complete have nobody left listening for their final
 	// evidence — that residue is exactly what the paper's inactivity
 	// window exists to absorb — but most of the system should get there.
-	h := newEarsHarness(8, 0, 11)
+	h := newEarsHarness(EARS{}, 8, 0, 11)
 	for r := 0; r < 200; r++ {
 		h.round()
 	}
@@ -385,4 +604,40 @@ func TestSEARSTargetsCoverWholeRange(t *testing.T) {
 	}
 }
 
-var _ = xrand.New // keep the import if helpers change
+// TestSEARSStepZeroAlloc pins 0 allocs per local step once a SEARS
+// process is in steady state — nothing new arriving, the snapshot clean:
+// recipient sampling runs over the process's own table and every send
+// reuses the boxed snapshot. The deliveries are repeats of a peer's
+// snapshot, so the merge's no-news path is inside the measurement. (The
+// engine-side counterpart is internal/sim's TestStepLoopZeroAlloc.)
+func TestSEARSStepZeroAlloc(t *testing.T) {
+	// N = 5 keeps the fan-out (4) inside the Outbox's inline arrays, so
+	// overwriting the one Outbox with a fresh value empties it for free.
+	const n = 5
+	procs := SEARS{}.New(makeEnvs(n, 1, 3))
+	p, peer := procs[0].(*earsProc), procs[1].(*earsProc)
+	if p.fanout != n-1 {
+		t.Fatalf("fanout = %d, want %d", p.fanout, n-1)
+	}
+	out := sim.NewOutbox(1, n)
+	peer.Step(1, nil, &out)
+	peer.Commit(1)
+	m := out.Drain()[0]
+	m.From = 1
+	delivered := []sim.Message{m, m, m}
+
+	now := sim.Step(1)
+	step := func() {
+		now++
+		out = sim.NewOutbox(0, n)
+		p.Step(now, delivered, &out)
+		p.Commit(now)
+		if out.Len() != n-1 {
+			t.Fatalf("step %d sent %d messages, want %d", now, out.Len(), n-1)
+		}
+	}
+	step() // absorbs the news, takes the one snapshot
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("steady-state SEARS step: %v allocs, want 0", allocs)
+	}
+}

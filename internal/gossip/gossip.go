@@ -74,6 +74,12 @@ func (b *bitset) has(i int) bool {
 // count returns the number of elements.
 func (b *bitset) count() int { return b.n }
 
+// reset empties the set.
+func (b *bitset) reset() {
+	clear(b.words)
+	b.n = 0
+}
+
 // popcount recomputes the population count from the words (used by tests
 // to validate the incremental counter).
 func (b *bitset) popcount() int {
@@ -89,12 +95,17 @@ func (b *bitset) popcount() int {
 // own gossip. Prefixes of a log are immutable; appends happen only inside
 // sim.Committer.Commit, so any prefix length a process received in a
 // message is safe to read during (possibly parallel) Step phases.
+//
+// total is Σ len(logs[p]), the number of published log entries. It follows
+// the same phase discipline as the logs: written only by publish (Commit),
+// read during Step.
 type arena struct {
-	logs [][]sim.ProcID
+	logs  [][]sim.ProcID
+	total int64
 }
 
 func newArena(n int) *arena {
-	a := &arena{logs: make([][]sim.ProcID, n)}
+	a := &arena{logs: make([][]sim.ProcID, n), total: int64(n)}
 	for p := 0; p < n; p++ {
 		log := make([]sim.ProcID, 1, 8)
 		log[0] = sim.ProcID(p)
@@ -107,6 +118,7 @@ func newArena(n int) *arena {
 func (a *arena) publish(p sim.ProcID, staged []sim.ProcID) {
 	if len(staged) > 0 {
 		a.logs[p] = append(a.logs[p], staged...)
+		a.total += int64(len(staged))
 	}
 }
 
@@ -181,6 +193,9 @@ func (singlePayload) Kind() string { return "gossip" }
 // sender has seen the first Ver[b] entries of b's log" — the pair set
 // I(sender) under the prefix property described in the package comment.
 // Ver is an immutable snapshot shared by every send of one local step.
+// Sum is ΣVer, derived state that never travels: receivers order one
+// sender's snapshots by it (earsProc.merge). Build values only through
+// newEarsPayload so the two cannot disagree.
 //
 // Messages carry *earsPayload: the boxes and their Ver snapshots are
 // carved from per-process append-only chunks (earsProc.payload), so
@@ -189,6 +204,18 @@ func (singlePayload) Kind() string { return "gossip" }
 type earsPayload struct {
 	GLen int32
 	Ver  []int32
+	Sum  int64
+}
+
+// newEarsPayload is the one constructor of earsPayload values — used by
+// the sender (earsProc.payload), the wire decoder and the tests. It takes
+// ownership of ver.
+func newEarsPayload(gLen int32, ver []int32) earsPayload {
+	var sum int64
+	for _, v := range ver {
+		sum += int64(v)
+	}
+	return earsPayload{GLen: gLen, Ver: ver, Sum: sum}
 }
 
 func (earsPayload) Kind() string { return "ears" }

@@ -159,5 +159,6 @@ func decodeEars(data []byte) (sim.Payload, error) {
 	if len(data) != 0 {
 		return nil, fmt.Errorf("gossip: decode %q: %d trailing bytes", kind, len(data))
 	}
-	return &earsPayload{GLen: int32(glen), Ver: ver}, nil
+	pl := newEarsPayload(int32(glen), ver)
+	return &pl, nil
 }

@@ -9,6 +9,12 @@ import (
 	"github.com/ugf-sim/ugf/internal/sim"
 )
 
+// ears builds an EARS payload the way senders and the decoder do.
+func ears(gLen int32, ver []int32) *earsPayload {
+	pl := newEarsPayload(gLen, ver)
+	return &pl
+}
+
 // TestWireCodecRoundTrip round-trips every protocol payload kind through
 // its registered wire codec and through a full envelope encode/decode,
 // asserting the decoded value is the exact concrete type (and value) the
@@ -21,10 +27,11 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		pullPayload{},
 		singlePayload{G: 0},
 		singlePayload{G: 12345},
-		&earsPayload{GLen: 0, Ver: []int32{}},
-		&earsPayload{GLen: 3, Ver: []int32{0, 2, 1}},
-		&earsPayload{GLen: 64, Ver: make([]int32, 256)},
-		&earsPayload{GLen: 1<<31 - 1, Ver: []int32{1<<31 - 1, 0, 7}},
+		ears(0, []int32{}),
+		ears(3, []int32{0, 2, 1}),
+		ears(64, make([]int32, 256)),
+		ears(1<<31-1, []int32{1<<31 - 1, 0, 7}),
+		ears(1<<31-1, []int32{1<<31 - 1, 1<<31 - 1, 1<<31 - 1}), // Sum needs its 64 bits
 	}
 	for i, want := range payloads {
 		kind := want.Kind()
@@ -72,8 +79,8 @@ func TestWireCodecRejects(t *testing.T) {
 		{"gossip", pullPayload{}},
 		{"gossip", singlePayload{G: -2}},
 		{"ears", earsPayload{}}, // value, not pointer
-		{"ears", &earsPayload{GLen: -1}},
-		{"ears", &earsPayload{GLen: 1, Ver: []int32{-5}}},
+		{"ears", ears(-1, nil)},
+		{"ears", ears(1, []int32{-5})},
 	}
 	for _, tc := range encodeCases {
 		if _, err := wire.EncodePayload(tc.kind, tc.pl); err == nil {

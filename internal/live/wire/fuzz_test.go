@@ -15,14 +15,22 @@ import (
 // bytes through the registered codecs and re-encoding full envelopes.
 func seedBodies(tb testing.TB) [][]byte {
 	tb.Helper()
-	payloadBytes := map[string][]byte{
-		"gossips": {0x05},
-		"pull":    {},
-		"gossip":  {0x03},
-		"ears":    {0x02, 0x02, 0x01, 0x00},
+	payloads := []struct {
+		kind string
+		data []byte
+	}{
+		{"gossips", []byte{0x05}},
+		{"pull", nil},
+		{"gossip", []byte{0x03}},
+		{"ears", []byte{0x02, 0x02, 0x01, 0x00}},
+		// Two entries of MaxInt32: the sum the decoder derives beside the
+		// vector (never on the wire) must survive the re-encode round trip
+		// past 32 bits.
+		{"ears", []byte{0x02, 0x02, 0xFF, 0xFF, 0xFF, 0xFF, 0x07, 0xFF, 0xFF, 0xFF, 0xFF, 0x07}},
 	}
 	var bodies [][]byte
-	for kind, data := range payloadBytes {
+	for _, p := range payloads {
+		kind, data := p.kind, p.data
 		pl, err := wire.DecodePayload(kind, data)
 		if err != nil {
 			tb.Fatalf("seed payload %s: %v", kind, err)

@@ -201,6 +201,33 @@ func (r *RNG) SampleInts(n, k int) []int {
 	return out
 }
 
+// SampleIntsInto is SampleInts without the allocations: it fills out with
+// len(out) distinct uniform values from [0, len(table)), making the same
+// Intn draws and producing the same values in the same order as
+// SampleInts(len(table), len(out)). table is caller-owned scratch that
+// must hold the identity permutation (table[i] == i) on entry; the swaps
+// are undone before returning, so it holds it again on exit and one table
+// serves any number of calls. It panics if len(out) > len(table).
+func (r *RNG) SampleIntsInto(out, table []int) {
+	n, k := len(table), len(out)
+	if k > n {
+		panic("xrand: SampleIntsInto with k out of range")
+	}
+	// Partial Fisher–Yates, remembering each swap partner in out…
+	for i := 0; i < k; i++ {
+		j := i + r.Intn(n-i)
+		table[i], table[j] = table[j], table[i]
+		out[i] = j
+	}
+	// …then undone newest swap first, trading each partner for the value
+	// the swap had put in place.
+	for i := k - 1; i >= 0; i-- {
+		j := out[i]
+		out[i] = table[i]
+		table[i], table[j] = table[j], table[i]
+	}
+}
+
 // IntnExcept returns a uniform int in [0, n) \ {except}. It panics when the
 // domain is empty (n < 2, or n == 1 with except == 0).
 func (r *RNG) IntnExcept(n, except int) int {

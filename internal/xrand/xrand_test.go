@@ -2,6 +2,7 @@ package xrand
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -209,6 +210,52 @@ func TestSampleIntsUniform(t *testing.T) {
 			t.Errorf("element %d sampled %d times, want about %.0f", v, c, want)
 		}
 	}
+}
+
+func TestSampleIntsIntoMatchesSampleInts(t *testing.T) {
+	// Same values, same order, same generator state afterwards — over one
+	// table reused across every call with that n — and no allocation.
+	for _, n := range []int{1, 2, 3, 7, 64, 499} {
+		table := make([]int, n)
+		for i := range table {
+			table[i] = i
+		}
+		for _, k := range []int{0, 1, 2, n / 2, n - 1, n} {
+			if k > n {
+				continue
+			}
+			out := make([]int, k)
+			for seed := uint64(0); seed < 20; seed++ {
+				ref, got := New(seed), New(seed)
+				want := ref.SampleInts(n, k)
+				got.SampleIntsInto(out, table)
+				if !slices.Equal(out, want) {
+					t.Fatalf("n=%d k=%d seed=%d: SampleIntsInto = %v, SampleInts = %v", n, k, seed, out, want)
+				}
+				if got.Uint64() != ref.Uint64() {
+					t.Fatalf("n=%d k=%d seed=%d: generators diverged", n, k, seed)
+				}
+				for i, v := range table {
+					if v != i {
+						t.Fatalf("n=%d k=%d seed=%d: table[%d] = %d after the call", n, k, seed, i, v)
+					}
+				}
+			}
+			r := New(1)
+			if allocs := testing.AllocsPerRun(10, func() { r.SampleIntsInto(out, table) }); allocs != 0 {
+				t.Errorf("n=%d k=%d: %v allocs per call, want 0", n, k, allocs)
+			}
+		}
+	}
+}
+
+func TestSampleIntsIntoPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SampleIntsInto(k > n) did not panic")
+		}
+	}()
+	New(1).SampleIntsInto(make([]int, 4), make([]int, 3))
 }
 
 func TestSampleIntsPanics(t *testing.T) {

@@ -39,3 +39,12 @@ UGF_PROPERTY_CONFIGS=80 go test -race -count=1 -timeout 15m -run 'TestPropertySh
 # the outcome distributions — under the race detector with its own name
 # on the failure.
 go test -race -short -count=1 -timeout 10m -run 'TestLiveMatchesSimStatistically' ./internal/simtest/
+
+# The whole-stack benchmark is a module of its own (benchmark/go.mod), so
+# nothing above builds it: vet and test it, then one smoke run of every
+# workload — seconds each; run.sh exits non-zero if any operation or
+# cross-check failed.
+(cd benchmark && go vet ./... && go test ./...)
+for w in paper-sweep engine-scale coord-sweep live-cluster; do
+	bash benchmark/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 -smoke
+done
