@@ -116,7 +116,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	common.Warn(fs, os.Stderr)
 	if err := common.Validate(*traceDir != ""); err != nil {
 		return err
 	}

@@ -123,9 +123,9 @@ func TestErrors(t *testing.T) {
 		{"-exp", "bogus"},
 		{"-fidelity", "bogus"},
 		{"-not-a-flag"},
-		{"-resume"},                             // -resume without -out has no journal to resume from
-		{"-tracekinds", "send"},                 // -tracekinds without -trace has nothing to filter
-		{"-trace", ".", "-tracekinds", "bogus"}, // unknown trace kind
+		{"-resume"},                              // -resume without -out has no journal to resume from
+		{"-trace-kinds", "send"},                 // -trace-kinds without -trace has nothing to filter
+		{"-trace", ".", "-trace-kinds", "bogus"}, // unknown trace kind
 	}
 	for _, args := range cases {
 		if _, err := runCLI(t, args...); err == nil {
@@ -239,7 +239,7 @@ func TestTraceFlagWritesPerRunFiles(t *testing.T) {
 func TestTraceKindsFiltersFiles(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := runCLI(t, "-exp", "example1", "-progress=false",
-		"-trace", dir, "-tracekinds", "send"); err != nil {
+		"-trace", dir, "-trace-kinds", "send"); err != nil {
 		t.Fatal(err)
 	}
 	files, err := filepath.Glob(filepath.Join(dir, "*.jsonl"))
@@ -259,7 +259,7 @@ func TestTraceKindsFiltersFiles(t *testing.T) {
 		}
 		for _, r := range recs {
 			if r.Kind != "send" {
-				t.Fatalf("%s: kind %q escaped the -tracekinds send filter", path, r.Kind)
+				t.Fatalf("%s: kind %q escaped the -trace-kinds send filter", path, r.Kind)
 			}
 		}
 		total += len(recs)

@@ -66,7 +66,6 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	common.Warn(fs, os.Stderr)
 	if err := common.Validate(*trace || *traceOut != ""); err != nil {
 		return err
 	}
@@ -84,7 +83,7 @@ func run(args []string, out io.Writer) error {
 	if *specArg != "" {
 		replaced := map[string]bool{
 			"protocol": true, "adversary": true, "n": true, "f": true, "seed": true,
-			"faults": true, "topology": true, "stall-window": true, "stallwindow": true,
+			"faults": true, "topology": true, "stall-window": true,
 			"max-events": true,
 		}
 		var conflict string

@@ -149,7 +149,7 @@ func TestTraceOutWritesJSONL(t *testing.T) {
 func TestTraceKindsFiltersJSONL(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	if _, err := runCLI(t, "-protocol", "ears", "-n", "15",
-		"-traceout", path, "-tracekinds", "send,crash", "-q"); err != nil {
+		"-traceout", path, "-trace-kinds", "send,crash", "-q"); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(path)
@@ -166,7 +166,7 @@ func TestTraceKindsFiltersJSONL(t *testing.T) {
 	}
 	for _, r := range recs {
 		if r.Kind != "send" && r.Kind != "crash" {
-			t.Fatalf("kind %q escaped the -tracekinds send,crash filter", r.Kind)
+			t.Fatalf("kind %q escaped the -trace-kinds send,crash filter", r.Kind)
 		}
 	}
 }
@@ -195,7 +195,7 @@ func TestErrors(t *testing.T) {
 		{"-adversary", "bogus"},
 		{"-n", "0"},
 		{"-definitely-not-a-flag"},
-		{"-tracekinds", "bogus"},
+		{"-trace-kinds", "bogus"},
 		// The streaming-observability flags are single-run only.
 		{"-runs", "3", "-stats"},
 		{"-runs", "3", "-trace"},

@@ -2,18 +2,14 @@
 // two CLIs spell common knobs the same way and validate them with the
 // same code.
 //
-// Canonical spellings are hyphenated (-trace-kinds, -stall-window); the
-// historical run-together spellings (-tracekinds, -stallwindow) remain
-// registered as deprecated aliases that keep working but print a pointer
-// to the new name on use. Flags whose types genuinely differ between the
-// CLIs (-trace is a bool in ugfsim, an output directory in ugfbench)
-// stay per-CLI.
+// Multi-word flags are hyphenated (-trace-kinds, -stall-window). Flags
+// whose types genuinely differ between the CLIs (-trace is a bool in
+// ugfsim, an output directory in ugfbench) stay per-CLI.
 package cliflags
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"strings"
 
 	"github.com/ugf-sim/ugf/internal/sim"
@@ -29,40 +25,17 @@ type Common struct {
 	StallWindow  int64  // -stall-window: events without progress before declaring a stall
 	MaxEvents    int64  // -max-events: hard event cutoff per run
 	Shards       int    // -shards: commit shards inside each run
-
-	deprecated map[string]string // alias → canonical, for the post-Parse warning
 }
 
-// Register installs the shared flags on fs, canonical names and
-// deprecated aliases alike. Call Warn after fs.Parse to report any
-// deprecated spellings the command line actually used.
+// Register installs the shared flags on fs.
 func (c *Common) Register(fs *flag.FlagSet) {
 	fs.BoolVar(&c.Stats, "stats", false, "print aggregated engine statistics")
 	fs.StringVar(&c.Faults, "faults", "", "overlay a link-fault plan on every run, e.g. drop=0.1,dup=0.05,seed=7 (empty: no faults)")
 	fs.StringVar(&c.TopologySpec, "topology", "", "communication-graph topology: complete|ring|k-regular,k=K|expander,k=K,seed=S|radio,k=K,seed=S (empty: complete)")
-	fs.IntVar(&c.Shards, "shards", 0, "commit shards inside each run (0: serial commits; outcomes identical)")
+	fs.IntVar(&c.Shards, "shards", 0, "shard lanes each run may fork a step over (0 or 1: every step runs on the run's own goroutine; outcomes and traces identical)")
 	fs.StringVar(&c.TraceKinds, "trace-kinds", "", "comma-separated trace kinds to keep when tracing (default: all): send,arrive,step,crash,sleep,wake,adversary,end,recover,drop")
 	fs.Int64Var(&c.StallWindow, "stall-window", 0, "overlay a stall window: declare a stall after this many events without progress (0: off)")
 	fs.Int64Var(&c.MaxEvents, "max-events", 0, "overlay a hard per-run event cutoff (0: none); pair with -stall-window on sparse topologies")
-
-	// Deprecated aliases: the same variable bound under the old spelling,
-	// so either name works and the last one on the command line wins.
-	c.deprecated = map[string]string{
-		"tracekinds":  "trace-kinds",
-		"stallwindow": "stall-window",
-	}
-	fs.StringVar(&c.TraceKinds, "tracekinds", "", "deprecated alias for -trace-kinds")
-	fs.Int64Var(&c.StallWindow, "stallwindow", 0, "deprecated alias for -stall-window")
-}
-
-// Warn prints one pointer per deprecated flag spelling that was set on
-// the parsed fs. Call it right after fs.Parse.
-func (c *Common) Warn(fs *flag.FlagSet, w io.Writer) {
-	fs.Visit(func(f *flag.Flag) {
-		if canonical, ok := c.deprecated[f.Name]; ok {
-			fmt.Fprintf(w, "%s: -%s is deprecated; use -%s\n", fs.Name(), f.Name, canonical)
-		}
-	})
 }
 
 // Validate checks the shared values' ranges and cross-flag constraints.

@@ -66,8 +66,8 @@ type Config struct {
 	// Workers bounds run-level parallelism (≤ 0: GOMAXPROCS).
 	Workers int
 	// Shards sets in-run commit parallelism — sim.Config.Workers — on
-	// every spec (≤ 0: serial commits). Outcomes are bit-identical either
-	// way; sharding trades run-level for in-run parallelism, which pays
+	// every spec (≤ 1: every step runs on the run's own goroutine).
+	// Outcomes are bit-identical either way; sharding trades run-level for in-run parallelism, which pays
 	// off when single runs are huge (big N) rather than numerous. When
 	// Workers is defaulted, the runner divides its run-level fan-out by
 	// the shard count so the product stays at GOMAXPROCS.

@@ -340,7 +340,7 @@ func (nd *node) dropSend(t sim.Step, msg sim.Message, note string) {
 }
 
 // countKind bumps the per-payload-kind send counter, MRU-probed like the
-// engine's kindIndex.
+// engine's shardLane.kindIndex.
 func (nd *node) countKind(pl sim.Payload) {
 	k := "?"
 	if pl != nil {

@@ -133,21 +133,40 @@ func TestPanicIsolatedToOneRun(t *testing.T) {
 }
 
 // TestEveryRunPanicking: a protocol that always detonates fails every run
-// individually without crashing the process or aborting the batch.
+// individually without crashing the process or aborting the batch — and
+// the recorded stack names the protocol's Step whether the run stepped on
+// its own goroutine or forked the step over shard lanes (Shards > 1, i.e.
+// Base.Workers, with N large enough that the first step does fork).
 func TestEveryRunPanicking(t *testing.T) {
-	spec := Spec{Name: "bombs", Base: sim.Config{N: 5, Protocol: bombProto{}}, Runs: 6, BaseSeed: 3}
-	results, err := ExecuteContext(context.Background(), []Spec{spec}, Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := results[0]
-	if len(res.Errors) != 6 || len(res.Kept()) != 0 || res.Failed() != 6 {
-		t.Fatalf("got %d errors, %d kept", len(res.Errors), len(res.Kept()))
-	}
-	for i, re := range res.Errors {
-		if re.Run != i || !re.Deterministic {
-			t.Errorf("Errors[%d] = %+v, want run %d (errors sorted by run)", i, re, i)
-		}
+	for _, tc := range []struct {
+		name      string
+		n, shards int
+	}{
+		{"serial", 5, 0},
+		{"shards=4", 16, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := Spec{Name: "bombs", Base: sim.Config{N: tc.n, Workers: tc.shards, Protocol: bombProto{}}, Runs: 6, BaseSeed: 3}
+			results, err := ExecuteContext(context.Background(), []Spec{spec}, Options{Workers: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := results[0]
+			if len(res.Errors) != 6 || len(res.Kept()) != 0 || res.Failed() != 6 {
+				t.Fatalf("got %d errors, %d kept", len(res.Errors), len(res.Kept()))
+			}
+			for i, re := range res.Errors {
+				if re.Run != i || !re.Deterministic {
+					t.Errorf("Errors[%d] = %+v, want run %d (errors sorted by run)", i, re, i)
+				}
+				if !strings.Contains(re.Panic, "protocol exploded") {
+					t.Errorf("Errors[%d].Panic = %q, want the protocol's panic value in it", i, re.Panic)
+				}
+				if !strings.Contains(re.Stack, "bombProc.Step") {
+					t.Errorf("Errors[%d].Stack does not name the protocol's Step:\n%s", i, re.Stack)
+				}
+			}
+		})
 	}
 }
 

@@ -415,11 +415,16 @@ func closeSink(s sim.TraceSink) {
 
 // runOnce executes one simulation, converting a panic anywhere in the
 // protocol/adversary/engine stack into a captured (panic value, stack)
-// pair instead of crashing the batch.
+// pair instead of crashing the batch. The stack is the panicking
+// goroutine's: a panic the engine carried over from a shard lane brings
+// its own.
 func runOnce(cfg sim.Config) (o sim.Outcome, err error, pan any, stack []byte) {
 	defer func() {
 		if r := recover(); r != nil {
 			pan, stack = r, debug.Stack()
+			if lp, ok := r.(*sim.LanePanic); ok {
+				stack = lp.Stack
+			}
 		}
 	}()
 	o, err = sim.Run(cfg)

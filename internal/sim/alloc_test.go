@@ -83,10 +83,11 @@ func measureSteadyStepAllocs(t *testing.T, cfg Config, warm, measure int) float6
 	return allocs
 }
 
-// TestStepLoopZeroAlloc pins 0 allocs per engine step in steady state, on
-// the two workload extremes: the sparse token ring (one active process,
-// one in-flight message) and the dense pull-echo exchange (every process
-// active, fan-in deliveries, sleep/wake transitions).
+// TestStepLoopZeroAlloc pins 0 allocs per engine step in steady state on
+// the inline lane, on the two workload extremes: the sparse token ring
+// (one active process, one in-flight message) and the dense pull-echo
+// exchange (every process active, fan-in deliveries, sleep/wake
+// transitions).
 func TestStepLoopZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation assertions do not hold under -race")
@@ -100,6 +101,15 @@ func TestStepLoopZeroAlloc(t *testing.T) {
 			name: "ring",
 			cfg:  Config{N: 256, Protocol: tokenRingProto{laps: 64}},
 			// 64 laps = 16384 hops; warm two laps, measure one.
+			warm: 512, measure: 256,
+		},
+		{
+			// Workers = 4 forks the first step (every process is due) and
+			// never again: one token, one due process, far below the
+			// 2·Workers threshold. The steps measured here run lane 0
+			// inline — no goroutine, no closure, nothing allocated.
+			name: "ring-workers=4",
+			cfg:  Config{N: 256, Protocol: tokenRingProto{laps: 64}, Workers: 4},
 			warm: 512, measure: 256,
 		},
 		{

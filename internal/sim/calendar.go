@@ -24,14 +24,14 @@ type calBucket struct {
 
 // calendar holds the in-flight messages of a run, bucketed by delivery
 // step. It is the storage half of the event index: the scheduler's heap
-// holds one delivery-mark entry per live bucket, pushed when add creates
-// the bucket.
+// holds one delivery-mark entry per live bucket, pushed when addRun
+// creates the bucket.
 //
 // Two things keep steady-state insertion cheap and allocation-free:
 //
 //   - A one-entry MRU cache (lastAt/lastB): a commit phase inserts runs of
 //     messages with the same delivery step (every draft of a process shares
-//     t + d_p, and processes overwhelmingly share d), so consecutive adds
+//     t + d_p, and processes overwhelmingly share d), so consecutive runs
 //     skip the map entirely.
 //
 //   - Recycling with a growth floor: take hands a bucket to the engine,
@@ -55,30 +55,10 @@ func (c *calendar) init() {
 	c.lastB = nil
 }
 
-// add appends m to the bucket at step at, creating it if needed, and
-// reports whether it was created — the caller's cue to push the bucket's
-// delivery mark onto the scheduler heap (exactly once per bucket).
-func (c *calendar) add(at Step, m imessage) (created bool) {
-	b := c.lastB
-	if b == nil || at != c.lastAt {
-		var ok bool
-		b, ok = c.buckets[at]
-		if !ok {
-			b = c.newBucket(at)
-			created = true
-		}
-		c.lastAt, c.lastB = at, b
-	}
-	if len(b.msgs) == cap(b.msgs) {
-		c.grow(b, 1)
-	}
-	b.msgs = append(b.msgs, m)
-	return created
-}
-
-// addRun appends a run of messages sharing one delivery step, reserving
-// the space in a single growth step. It is the shard merge's bulk
-// insertion path; created has the same meaning as add's.
+// addRun appends a run of messages sharing one delivery step, creating
+// the bucket if needed and reserving the space in a single growth step. It
+// reports whether the bucket was created — the caller's cue to push the
+// bucket's delivery mark onto the scheduler heap (exactly once per bucket).
 func (c *calendar) addRun(at Step, msgs []imessage) (created bool) {
 	if len(msgs) == 0 {
 		return false

@@ -52,10 +52,14 @@ type Config struct {
 	// fully-partitioned or fully-lossy run that would otherwise spin to
 	// Horizon/MaxEvents. 0 disables detection.
 	StallWindow int64
-	// Workers > 1 executes the local steps of each global step on that
-	// many goroutines. Outcomes are bit-identical to serial execution.
+	// Workers > 1 forks the local steps and commits of every global step
+	// with at least 2·Workers due processes over that many shard lanes
+	// (shard.go); smaller steps, and every step when Workers ≤ 1, run the
+	// one lane inline on the run's goroutine. Outcomes and traces are
+	// bit-identical for every value.
 	Workers int
-	// Trace receives engine events; nil disables tracing.
+	// Trace receives engine events, always from the run's own goroutine;
+	// nil disables tracing.
 	Trace TraceSink
 	// KeepPerProcess retains the per-process message counters in the
 	// Outcome (O(N) memory per outcome).
@@ -176,7 +180,6 @@ func (e *engine) dispose() {
 	e.pt = procTable{}
 	e.cal = calendar{}
 	e.sched = scheduler{}
-	e.ptab = payloadTable{}
 	e.procs, e.outboxes, e.sendLog, e.lanes = nil, nil, nil, nil
 	e.class, e.linkDown, e.graph = nil, nil, nil
 }
@@ -191,17 +194,13 @@ type engine struct {
 	procs []Process
 	adv   AdversaryInstance
 
-	pt    procTable    // per-process state, struct-of-arrays (proctable.go)
-	cal   calendar     // in-flight messages, bucketed by delivery step
-	sched scheduler    // indexed next-event queue (see sched.go)
-	ptab  payloadTable // interned in-flight payloads (intern.go)
+	pt    procTable // per-process state, struct-of-arrays (proctable.go)
+	cal   calendar  // in-flight messages, bucketed by delivery step
+	sched scheduler // indexed next-event queue (see sched.go)
 
 	sendLog  []SendRecord
 	outboxes []Outbox
 	dueBuf   []ProcID
-	resolve  []int32 // commitOne scratch: staging index → payload-table slot
-	kindRes  []int32 // commitOne scratch: staging index → kind-table index
-	cntBuf   []int32 // commitOne scratch: staging index → surviving copies
 
 	awakeCorrect      int
 	totalPending      int64
@@ -245,24 +244,22 @@ type engine struct {
 	stallBase   int64
 	stalled     bool
 
-	// Observability (see stats.go). All counting happens in the serial
-	// engine phases, so Stats is identical under parallel stepping.
+	// Observability (see stats.go). Lanes count into private deltas that
+	// the merge folds in lane order, so Stats is identical for every lane
+	// count. Per-kind send counts stay in the lanes until stats() sums them.
 	st         Stats
-	kinds      []KindCount // per-payload-kind send counts
-	lastKind   int         // MRU index into kinds: consecutive sends share kinds
-	inflight   int64       // messages currently in the calendar
-	statsEvery Step        // Config.StatsEvery
+	inflight   int64 // messages currently in the calendar
+	statsEvery Step  // Config.StatsEvery
 	interval   IntervalStats
 
-	workers int
-	wg      sync.WaitGroup
-	panics  []any
-	panicMu sync.Mutex
-
-	// lanes are the shard lanes of the sharded commit phase (shard.go);
-	// allocated on first use and persistent for the run — calendar refs
-	// point into lane payload tables, so lanes never shrink. mergeWall
-	// accumulates the serial merge's wall time for WallStats.
+	// lanes are the shard lanes of the commit phase (shard.go). Lane 0
+	// exists from construction and is the whole commit phase of a step
+	// that runs inline; the others are added the first time a step forks
+	// over them. Lanes persist for the run — calendar refs point into lane
+	// payload tables, so lanes never shrink. mergeWall accumulates the
+	// merge's wall time after forked phases, for WallStats.
+	workers   int
+	wg        sync.WaitGroup
 	lanes     []shardLane
 	mergeWall time.Duration
 }
@@ -326,7 +323,7 @@ func newEngine(cfg Config) (*engine, error) {
 	e.pt.init(n)
 	e.cal.init()
 	e.sched.init(n)
-	e.ptab.init(n)
+	e.ensureLanes(1)
 	e.sched.scheduleAll(1) // first boundary of every process: anchor 0 + δ 1
 	envs := make([]Env, n)
 	// One backing array for all process generators: each env points into
@@ -476,28 +473,6 @@ func (e *engine) closeInterval(boundary Step) {
 	e.interval = IntervalStats{Start: boundary}
 }
 
-// kindIndex resolves payload kind k to its index in the per-kind send
-// counters, registering it on first sight. Kinds live in a small slice
-// probed linearly with an MRU cache — protocols use a handful of kinds and
-// consecutive interns overwhelmingly share one, so the common case is a
-// single string comparison and no map or allocation. The string probe runs
-// once per *interned payload* (commitOne's resolution loop); the per-send
-// count is an integer increment against the returned index.
-func (e *engine) kindIndex(k string) int32 {
-	if e.lastKind < len(e.kinds) && e.kinds[e.lastKind].Kind == k {
-		return int32(e.lastKind)
-	}
-	for i := range e.kinds {
-		if e.kinds[i].Kind == k {
-			e.lastKind = i
-			return int32(i)
-		}
-	}
-	e.kinds = append(e.kinds, KindCount{Kind: k})
-	e.lastKind = len(e.kinds) - 1
-	return int32(e.lastKind)
-}
-
 // interrupted reports whether the run should stop early: its Cancel
 // channel is closed, or its MaxWall deadline has passed.
 func (e *engine) interrupted(deadline time.Time) bool {
@@ -553,26 +528,18 @@ func (e *engine) boundaryOnOrAfter(p ProcID, t Step) Step {
 	return e.nextBoundary(p)
 }
 
-// payloadVal resolves a packed calendar ref (table index << 32 | slot) to
-// its boxed payload: table 0 is the serial-commit table, table s+1 the
-// payload table of shard lane s. The high fault-marker bits (faults.go)
-// are masked off first.
+// payloadVal resolves a packed calendar ref (lane index << 32 | slot) to
+// its boxed payload in the table of the lane that interned it. The high
+// fault-marker bits (faults.go) are masked off first.
 func (e *engine) payloadVal(ref int64) Payload {
 	ref &^= refFaultMask
-	if ti := ref >> 32; ti != 0 {
-		return e.lanes[ti-1].ptab.val(int32(ref))
-	}
-	return e.ptab.val(int32(ref))
+	return e.lanes[ref>>32].ptab.val(int32(ref))
 }
 
 // releaseRef drops one calendar copy of a packed ref.
 func (e *engine) releaseRef(ref int64) {
 	ref &^= refFaultMask
-	if ti := ref >> 32; ti != 0 {
-		e.lanes[ti-1].ptab.release(int32(ref))
-		return
-	}
-	e.ptab.release(int32(ref))
+	e.lanes[ref>>32].ptab.release(int32(ref))
 }
 
 func (e *engine) deliver(t Step) {
@@ -651,185 +618,57 @@ func (e *engine) deliver(t Step) {
 	e.cal.release(bucket)
 }
 
+// localSteps runs the local step of every process due at t and publishes
+// the effects. There is one way to do that — stepOne, prepareOne against a
+// shard lane, mergeLane (shard.go) — and two ways to schedule it. A step
+// worth splitting forks over the run's lanes and merges lane by lane.
+// Anything else runs lane 0 right here, merging it every inlineChunk
+// processes so that its buffers stay small however dense the step; since
+// the merge runs Commit hooks, every Step has to have returned first.
 func (e *engine) localSteps(t Step) {
 	due := e.sched.collectDue(t, e.dueBuf[:0])
 	e.dueBuf = due
 	if len(due) == 0 {
 		return
 	}
-
 	if e.workers > 1 && len(due) >= 2*e.workers {
-		if e.cfg.Trace == nil {
-			// Sharded step+commit (shard.go): the commit effects run on the
-			// workers too, then merge serially. Tracing needs the exact
-			// serial event interleaving, so traced runs keep the serial
-			// commit below — outcomes are bit-identical either way.
-			e.stepCommitSharded(t, due)
-			return
+		shards := min(e.workers, maxShardLanes)
+		e.forkLanes(t, due, shards)
+		start := time.Now()
+		for s := 0; s < shards; s++ {
+			e.mergeLane(t, &e.lanes[s], lanePart(due, shards, s))
+			e.foldCounts(&e.lanes[s])
 		}
-		e.stepParallel(t, due)
-	} else {
-		for _, p := range due {
-			e.stepOne(t, p)
-		}
+		e.mergeWall += time.Since(start)
+		return
 	}
-
-	// Commit phase: deterministic, in ascending process order.
 	for _, p := range due {
-		e.commitOne(t, p)
+		e.stepOne(t, p)
 	}
+	ln := &e.lanes[0]
+	for len(due) > 0 {
+		part := due[:min(len(due), inlineChunk)]
+		for _, p := range part {
+			e.prepareOne(t, p, ln)
+		}
+		e.mergeLane(t, ln, part)
+		due = due[len(part):]
+	}
+	e.foldCounts(ln)
 }
 
 // stepOne runs the protocol handler of p for its local step at t. It only
 // touches p-local engine state, so distinct processes may step in parallel.
-// p's outbox is already empty here: newEngine resets it once, and every
-// commit path (commitOne, prepareOne) clears it after draining.
+// p's outbox is already empty here: newEngine resets it once, and
+// prepareOne clears it after draining.
 func (e *engine) stepOne(t Step, p ProcID) {
 	e.procs[p].Step(t, e.pt.mail[p], &e.outboxes[p])
 }
 
-// commitOne publishes the effects of p's local step: mailbox consumption,
-// sleep/wake transitions, and sends. Must run serially in process order —
-// it is also the only phase that touches the serial payload table and the
-// calendar, which is what keeps both lock-free under parallel stepping.
-// (The sharded path replaces it with prepareOne + mergeLanes, shard.go.)
-func (e *engine) commitOne(t Step, p ProcID) {
-	if e.cfg.Trace != nil {
-		e.trace(TraceEvent{Kind: TraceLocalStep, Step: t, Proc: p, Other: -1})
-	}
-	e.pt.anchor[p] = t
-	e.totalPending -= e.pt.pendingCount[p]
-	e.pt.pendingCount[p] = 0
-	e.pt.clearMail(p)
-	e.eventCount++
-	e.st.LocalSteps++
-
-	ob := &e.outboxes[p]
-	// Resolve the staged payloads of this local step into run-table slots.
-	// The table's identity memo collapses re-sends of the most recently
-	// interned value to its existing slot, and carries the kind index with
-	// it, so Kind() resolves only on memo misses. Staging order is
-	// first-send order, so kinds register in the order sends first use them.
-	res, kres, cnt := e.resolve[:0], e.kindRes[:0], e.cntBuf[:0]
-	for _, pl := range ob.staged {
-		slot, fresh := e.ptab.intern(pl)
-		if fresh {
-			kind := "?"
-			if pl != nil {
-				kind = pl.Kind()
-			}
-			e.ptab.memoKind = e.kindIndex(kind)
-		}
-		res = append(res, slot)
-		kres = append(kres, e.ptab.memoKind)
-		cnt = append(cnt, 0)
-	}
-	e.resolve, e.kindRes, e.cntBuf = res, kres, cnt
-	omitted := e.pt.omitted(p)
-	delay := e.pt.delay[p]
-	deliverAt := t + delay
-	for _, d := range ob.drafts {
-		to := ProcID(d.to)
-		e.msgTotal++
-		e.pt.sent[p]++
-		e.pt.lastSend[p] = t
-		e.eventCount++
-		e.kinds[kres[d.pi]].Count++
-		if e.statsEvery > 0 {
-			e.interval.Sends++
-			e.interval.DelayHist[delayBucket(delay)]++
-		}
-		if e.adv != nil {
-			// Only an adversary reads the send log; without one, appending
-			// would grow an O(M) slice nobody drains.
-			e.sendLog = append(e.sendLog, SendRecord{From: p, To: to, SentAt: t, DeliverAt: deliverAt})
-		}
-		if e.cfg.Trace != nil {
-			e.trace(TraceEvent{Kind: TraceSend, Step: t, Proc: p, Other: to, Payload: ob.staged[d.pi]})
-		}
-		if e.graph != nil && !e.graph.Live(p, to) {
-			// Off-graph send: counted in M(O) like every other send, but
-			// the edge does not exist, so the network never carries it.
-			// Checked before the crash/omission/link verdicts so a dead
-			// edge always yields the "topology" drop, keeping the trace
-			// auditor's edge accounting exact.
-			e.st.BlockedSends++
-			e.traceSendDrop(t, p, to, ob.staged[d.pi], "topology")
-			continue
-		}
-		if e.pt.crashed(to) || omitted {
-			// Counted in M(O), but undeliverable.
-			if e.pt.crashed(to) {
-				e.st.DroppedCrashed++
-				e.traceSendDrop(t, p, to, ob.staged[d.pi], "crashed")
-			} else {
-				e.st.OmittedSends++
-				e.traceSendDrop(t, p, to, ob.staged[d.pi], "omit")
-			}
-			continue
-		}
-		if e.linkActive && e.linkBlocked(p, to) {
-			e.st.DroppedLink++
-			e.traceSendDrop(t, p, to, ob.staged[d.pi], "link")
-			continue
-		}
-		fault := FaultNone
-		if e.faults != nil {
-			fault = e.faults.Roll(p, to, t, e.pt.sent[p])
-			if fault == FaultDrop {
-				e.st.DroppedLink++
-				e.traceSendDrop(t, p, to, ob.staged[d.pi], "loss")
-				continue
-			}
-		}
-		ref := int64(res[d.pi])
-		if fault == FaultCorrupt {
-			ref |= refCorruptBit
-		}
-		if e.cal.add(deliverAt, imessage{from: int32(p), to: d.to, ref: ref, sentAt: t}) {
-			e.sched.scheduleDelivery(deliverAt)
-		}
-		cnt[d.pi]++
-		e.inflight++
-		if e.inflight > e.st.MaxInFlight {
-			e.st.MaxInFlight = e.inflight
-		}
-		e.pt.inflightTo[to]++
-		e.inflightToCorrect++
-		if fault == FaultDuplicate {
-			// Second copy of a duplicated delivery: same step, flagged so
-			// delivery counts it as the duplicate.
-			if e.cal.add(deliverAt, imessage{from: int32(p), to: d.to, ref: int64(res[d.pi]) | refDupBit, sentAt: t}) {
-				e.sched.scheduleDelivery(deliverAt)
-			}
-			cnt[d.pi]++
-			e.inflight++
-			if e.inflight > e.st.MaxInFlight {
-				e.st.MaxInFlight = e.inflight
-			}
-			e.pt.inflightTo[to]++
-			e.inflightToCorrect++
-		}
-	}
-	// One batched refcount update per staged payload — not one per copy —
-	// and an immediate sweep of slots whose every send was dropped before
-	// reaching the calendar.
-	for i, slot := range res {
-		if cnt[i] > 0 {
-			e.ptab.addRefs(slot, cnt[i])
-		} else {
-			e.ptab.sweep(slot)
-		}
-	}
-	ob.clear()
-
-	e.finishOne(t, p)
-}
-
-// finishOne is the tail every commit shares — serial commitOne and the
-// sharded merge both end each process's local step here: the protocol's
-// Commit hook, the sleep/wake transition, and rescheduling. Runs serially,
-// in ascending process order.
+// finishOne is the order-sensitive tail of p's local step, run by the
+// merge once every Step of the global step has returned: the protocol's
+// Commit hook, the sleep/wake transition, and rescheduling. Runs on the
+// run's goroutine, in ascending process order.
 func (e *engine) finishOne(t Step, p ProcID) {
 	if c, ok := e.procs[p].(Committer); ok {
 		c.Commit(t)
@@ -868,42 +707,6 @@ func (e *engine) finishOne(t Step, p ProcID) {
 	}
 }
 
-func (e *engine) stepParallel(t Step, due []ProcID) {
-	workers := e.workers
-	if workers > len(due) {
-		workers = len(due)
-	}
-	chunk := (len(due) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(due) {
-			hi = len(due)
-		}
-		if lo >= hi {
-			break
-		}
-		e.wg.Add(1)
-		go func(part []ProcID) {
-			defer e.wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					e.panicMu.Lock()
-					e.panics = append(e.panics, r)
-					e.panicMu.Unlock()
-				}
-			}()
-			for _, p := range part {
-				e.stepOne(t, p)
-			}
-		}(due[lo:hi])
-	}
-	e.wg.Wait()
-	if len(e.panics) > 0 {
-		panic(e.panics[0])
-	}
-}
-
 // linkBlocked reports whether the network blocks sends from → to: the
 // endpoints sit in different partition classes, or the adversary downed
 // the directed link. Read-only during commits, so shard lanes call it
@@ -918,15 +721,6 @@ func (e *engine) linkBlocked(from, to ProcID) bool {
 		}
 	}
 	return false
-}
-
-// traceSendDrop emits the drop event of a send suppressed at send time
-// (crashed receiver, omission, link block, or loss roll). Only the serial
-// commit path traces — sharded commits run untraced by construction.
-func (e *engine) traceSendDrop(t Step, from, to ProcID, pl Payload, note string) {
-	if e.cfg.Trace != nil {
-		e.trace(TraceEvent{Kind: TraceDrop, Step: t, Proc: to, Other: from, Payload: pl, Note: note})
-	}
 }
 
 func (e *engine) crashProcess(p ProcID) {
@@ -1002,15 +796,20 @@ func (e *engine) outcome() Outcome {
 
 // stats seals the observability block: run-wide totals are copied from
 // the engine's authoritative counters, the scheduler contributes its heap
-// operation counts, and the per-kind send counters are sorted into a
-// stable order. Wall times are stamped by Run, after this returns.
+// operation counts, and the lanes' per-kind send counters are summed and
+// sorted into a stable order. Wall times are stamped by Run, after this
+// returns.
 func (e *engine) stats() Stats {
 	st := e.st
 	st.Events = e.eventCount
 	st.Sends = e.msgTotal
 	st.HeapPushes = e.sched.pushes
 	st.HeapPops = e.sched.pops
-	st.MessagesByKind = append([]KindCount(nil), e.kinds...)
+	for i := range e.lanes {
+		for _, kc := range e.lanes[i].kinds {
+			st.MessagesByKind = addKind(st.MessagesByKind, kc)
+		}
+	}
 	sortKinds(st.MessagesByKind)
 	return st
 }

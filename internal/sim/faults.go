@@ -16,11 +16,10 @@ import (
 // that decides whether the network drops it, duplicates its delivery, or
 // corrupts it in transit. The roll is a pure hash of (plan seed, sender,
 // receiver, send step, sender sequence number) — no generator state is
-// consumed — so the serial commit loop, the sharded per-lane commit, and
-// the naive oracle all reach the identical verdict for the identical send
-// without sharing a stream. That is what lets faults ride through the
-// parallel commit path untouched: lanes roll independently and still agree
-// bit for bit with serial execution.
+// consumed — so every shard lane and the naive oracle reach the identical
+// verdict for the identical send without sharing a stream. That is what
+// lets faults ride through forked commits untouched: lanes roll
+// independently and still agree bit for bit with a one-lane run.
 //
 // Fault semantics, fixed across engine and oracle:
 //

@@ -31,7 +31,7 @@ import "unsafe"
 // in flight, and steady-state interning allocates nothing.
 //
 // Each table also memoizes the kind-table index of its most recently
-// interned value (memoKind): the owner resolves Payload.Kind() only on the
+// interned value (memoKind): the lane resolves Payload.Kind() only on the
 // interns that miss the memo, so per-send and even per-local-step kind
 // accounting is an integer increment, not a string probe.
 
@@ -42,8 +42,8 @@ type payloadSlot struct {
 	refs int32
 }
 
-// payloadTable is a payload arena — the engine keeps one for serial commits
-// and one per shard lane. Call init before use (it arms the memo and
+// payloadTable is a payload arena — the engine keeps one per shard lane
+// (lane 0's serves every step that runs inline). Call init before use (it arms the memo and
 // presizes the storage).
 type payloadTable struct {
 	slots []payloadSlot

@@ -98,11 +98,15 @@ func TestEngineInternsFanoutOnce(t *testing.T) {
 	}
 	// Step 1: every process broadcasts the same pre-boxed value. n·(n−1)
 	// messages enter the calendar, but the intern memo collapses every
-	// sender's staged payload onto one table slot.
+	// sender's staged payload onto one slot of the inline lane's table.
 	if !e.stepOnce() {
 		t.Fatal("fan-out step did not run")
 	}
-	if got := e.ptab.live(); got != 1 {
+	if len(e.lanes) != 1 {
+		t.Fatalf("a Workers = 0 run grew %d lanes, want the one inline lane", len(e.lanes))
+	}
+	ptab := &e.lanes[0].ptab
+	if got := ptab.live(); got != 1 {
 		t.Errorf("after fan-out commit: %d live payload slots, want 1 (identical payload, one slot for all senders)", got)
 	}
 	if kindCalls != 1 {
@@ -114,7 +118,7 @@ func TestEngineInternsFanoutOnce(t *testing.T) {
 			break
 		}
 	}
-	if got := e.ptab.live(); got != 0 {
+	if got := ptab.live(); got != 0 {
 		t.Errorf("after quiescence: %d live payload slots, want 0", got)
 	}
 	o := e.outcome()

@@ -5,7 +5,7 @@ import "github.com/ugf-sim/ugf/internal/xrand"
 // Env is everything a protocol instance may depend on: its identity, the
 // system constants of Section II, and a private deterministic random
 // stream. Protocols must draw randomness exclusively from Env.RNG — that is
-// what makes parallel stepping deterministic.
+// what makes stepping on several shard lanes deterministic.
 type Env struct {
 	ID  ProcID
 	N   int // total number of processes
@@ -46,8 +46,8 @@ func BuildEach(envs []Env, build func(Env) Process) []Process {
 // after every local step of that process, serially and in ascending
 // process order, once all Step calls of the global step have returned.
 // Publication of anything other processes may read (log appends, shared
-// indexes) must happen here, never inside Step — that is what keeps the
-// parallel stepping mode race-free and bit-identical to serial execution.
+// indexes) must happen here, never inside Step — that is what keeps forked
+// shard lanes race-free and bit-identical to the inline lane.
 type Committer interface {
 	Commit(now Step)
 }
@@ -143,7 +143,7 @@ func NewOutbox(from ProcID, n int) Outbox {
 // Drain returns the queued sends as (to, payload) messages, in Send order,
 // and empties the outbox. Like NewOutbox it exists for tests and custom
 // drivers; the production engine reads the drafts and staging table
-// directly (commitOne) and never materializes this slice.
+// directly (prepareOne) and never materializes this slice.
 func (o *Outbox) Drain() []Message {
 	msgs := make([]Message, len(o.drafts))
 	for i, d := range o.drafts {

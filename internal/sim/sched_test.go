@@ -104,12 +104,12 @@ func TestSchedulerDueSetSorted(t *testing.T) {
 func TestCalendarRecyclesBuckets(t *testing.T) {
 	var c calendar
 	c.init()
-	msg := func(to int32) imessage { return imessage{from: 0, to: to, ref: 7} }
+	msg := func(to int32) []imessage { return []imessage{{from: 0, to: to, ref: 7}} }
 
-	if !c.add(10, msg(1)) {
+	if !c.addRun(10, msg(1)) {
 		t.Fatal("first add must create the bucket")
 	}
-	if c.add(10, msg(2)) {
+	if c.addRun(10, msg(2)) {
 		t.Fatal("second add to same step must not re-create the bucket")
 	}
 	b := c.take(10)
@@ -122,7 +122,7 @@ func TestCalendarRecyclesBuckets(t *testing.T) {
 	c.release(b)
 
 	// The next bucket must reuse the released storage.
-	if !c.add(20, msg(3)) {
+	if !c.addRun(20, msg(3)) {
 		t.Fatal("add after release must create a bucket")
 	}
 	b2 := c.take(20)

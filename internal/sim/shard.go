@@ -1,59 +1,72 @@
 package sim
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 )
 
-// Sharded commit phase.
+// The commit phase: shard lanes and their merge.
 //
-// The serial commit loop (commitOne) is the engine's bottleneck on dense
-// steps: stepping already runs in parallel, but every send still funnels
-// through one goroutine for payload interning, refcounting, and calendar
-// insertion. The sharded path partitions each due set into contiguous
-// process ranges — one shard lane per worker — and fuses Step with the
-// commit *effects* on the worker goroutines, leaving only a cheap
-// deterministic merge on the main goroutine.
+// The local steps of a global step have one execution path. Processes are
+// assigned to shard lanes in contiguous ranges; a lane runs the commit
+// *effects* of its processes (prepareOne) against lane-private state; and
+// a deterministic merge on the run's goroutine (mergeLane, foldCounts)
+// publishes what the lane buffered and runs each process's order-sensitive
+// tail (finishOne). localSteps schedules that in one of two ways. A step
+// worth splitting forks over Config.Workers lanes, each fusing Step with
+// prepareOne on its own goroutine, and merges lane by lane. Every other
+// step is the one-lane case: lane 0, on the run's goroutine, merged every
+// inlineChunk processes — no goroutine, no WaitGroup, no clock read, and
+// buffers no larger than that many processes' fan-out.
 //
 // Why the effects shard cleanly:
 //
 //   - Mailbox consumption, anchors, sent/lastSend, pendingCount: strictly
-//     p-local, and each process belongs to exactly one shard.
+//     p-local, and each process belongs to exactly one lane.
 //   - Payload interning and refcounts: each lane owns a private
-//     payloadTable; calendar refs pack (table, slot) into an int64, so a
+//     payloadTable; calendar refs pack (lane, slot) into an int64, so a
 //     delivery releases into whichever table interned it. No shared slots.
 //   - Calendar insertion: lanes buffer surviving sends as run-length
 //     encoded (deliverAt, count) runs over a flat message slice; the merge
 //     bulk-appends them. A process's drafts share one delivery step
 //     (t + d_p), so runs are long.
-//   - Crash/omission flags, δ, d: read-only during local steps (the
-//     adversary writes only in Observe, before deliveries).
-//   - inflightTo[to] crosses shards (any process may be a recipient), so
+//   - Crash/omission flags, δ, d, links, the graph: read-only during local
+//     steps (the adversary writes only in Observe, before deliveries).
+//   - inflightTo[to] crosses lanes (any process may be a recipient), so
 //     it is the one atomic in the phase.
-//   - Stats: each lane accumulates counter deltas; the merge folds them in
-//     shard order. Every counter is a sum (order-free), and the two
+//   - Stats: each lane accumulates counter deltas that foldCounts adds to
+//     the run's. Every counter is a sum (order-free), and the two
 //     high-water marks are monotone within a commit phase — in-flight only
 //     grows during commits, so the end-of-phase value *is* the phase
-//     maximum, exactly what the serial loop's per-send check records.
+//     maximum. Per-kind send counts never leave the lanes; stats() sums
+//     them once.
+//   - Trace events: each lane buffers the LocalStep/Send/Drop events of
+//     its processes; the merge hands them to the sink process by process,
+//     each followed by finishOne's Sleep/Wake, so the sink sees one stream
+//     — from one goroutine — whatever the lane count.
 //
-// The merge then runs the order-sensitive tail — Committer.Commit,
-// sleep/wake, rescheduling — serially in ascending process order
-// (finishOne, shared with commitOne). Shard boundaries never change any
-// observable ordering: lanes are folded in shard order, which is ascending
-// process order of the underlying due set, so sendLog order, calendar
-// bucket contents, heap push/pop counts, and RNG consumption (none in the
-// commit phase) are bit-identical to serial execution for any partition.
-// The workers≡serial and shards properties in internal/simtest pin this.
-//
-// Traced runs take the older parallel-step path instead: traces interleave
-// send events per process in commit order, which the fused phase does not
-// reproduce. Outcomes are identical either way; only event emission timing
-// differs.
+// Lane boundaries never change any observable ordering: lanes are merged
+// in lane order, which is ascending process order of the underlying due
+// set, so sendLog order, calendar bucket contents, heap push/pop counts,
+// the trace stream, and RNG consumption (none in the commit phase) are
+// bit-identical for any partition. The workers, shards and traced-shards
+// properties in internal/simtest pin this.
 
 // maxShardLanes caps how many lanes a run ever allocates, whatever
-// Config.Workers says. Packed refs reserve 31 bits for the table index,
+// Config.Workers says. Packed refs reserve 29 bits for the lane index,
 // but hundreds of lanes already exceed any plausible core count.
 const maxShardLanes = 256
+
+// inlineChunk is how many processes the inline lane prepares between
+// merges. It bounds what lane 0 buffers to that many processes' sends and
+// trace events — so a serial run allocates what it did when it wrote
+// straight to the calendar (engine_alloc_mb holds a 1 % bound) — while
+// still letting a dense step enter the calendar in bulk runs, which is
+// what keeps the one-lane case as fast as the loop it replaced. Outcomes do
+// not depend on it.
+const inlineChunk = 64
 
 // calRun is one run of lane messages sharing a delivery step.
 type calRun struct {
@@ -61,44 +74,71 @@ type calRun struct {
 	n  int32
 }
 
-// shardLane is one shard's private commit state: a payload table, the
-// buffered calendar appends, and the counter deltas the merge folds. Lanes
-// persist for the life of the run — calendar refs keep pointing into a
-// lane's table long after the step that created them.
+// laneCounts are the counter deltas a lane accumulates between merges.
+type laneCounts struct {
+	localSteps   int64
+	sends        int64
+	dropped      int64
+	omitted      int64
+	droppedLink  int64
+	blockedSends int64
+	pending      int64
+	inflight     int64
+}
+
+// shardLane is one lane's private commit state: a payload table, the
+// buffered calendar appends and trace events, and the counter deltas the
+// merge folds. Lanes persist for the life of the run — calendar refs keep
+// pointing into a lane's table long after the step that created them.
 type shardLane struct {
 	ptab payloadTable
+	tag  int64 // lane index << 32: the table half of every ref minted here
 
 	msgs []imessage // surviving sends, in (process, draft) order
 	runs []calRun   // run-length encoding of msgs by delivery step
 
-	sendLog  []SendRecord
-	kinds    []KindCount // lane-local kind counts, folded and zeroed by merge
+	sendLog []SendRecord
+	tev     []TraceEvent // each process's events start with its LocalStep
+
+	// kinds are the lane's per-kind send counts for the whole run, probed
+	// linearly with an MRU cache (lastKind): protocols use a handful of
+	// kinds and consecutive interns overwhelmingly share one.
+	kinds    []KindCount
 	lastKind int
 
-	localSteps    int64
-	events        int64
-	sends         int64
-	dropped       int64
-	omitted       int64
-	droppedLink   int64
-	blockedSends  int64
-	pendingDelta  int64
-	inflightDelta int64
-	intSends      int64
-	delayHist     [delayHistBuckets]int64
+	n         laneCounts
+	delayHist [delayHistBuckets]int64
 
 	res  []int32 // per-process scratch: staging index → lane slot
 	kres []int32 // staging index → lane kind index
 	cnt  []int32 // staging index → surviving copies
 
-	wall time.Duration // accumulated parallel-phase wall time
+	wall  time.Duration // accumulated wall time of forked phases
+	crash *LanePanic    // set when a process panicked on this lane's goroutine
 
 	_ [64]byte // keep adjacent lanes' hot counters off one cache line
 }
 
-// kindIndex is the lane-local twin of engine.kindIndex: kinds register in
-// the lane's namespace during the parallel phase and fold into the global
-// table at merge.
+// LanePanic is what the engine re-raises on the run's goroutine when a
+// process panicked on a forked lane: the original panic value with the
+// place it happened and the stack of the goroutine it happened on, which
+// the re-raise would otherwise lose. (A panic on the inline lane needs no
+// wrapping; it unwinds the run's own stack.)
+type LanePanic struct {
+	Value any
+	Proc  ProcID
+	Step  Step
+	Stack []byte
+}
+
+func (lp *LanePanic) Error() string {
+	return fmt.Sprintf("sim: process %d panicked in its local step at %d: %v", lp.Proc, lp.Step, lp.Value)
+}
+
+// kindIndex resolves payload kind k to its index in the lane's send
+// counters, registering it on first sight. The string probe runs once per
+// intern-memo miss (prepareOne's resolution loop); the per-send count is
+// an integer increment against the returned index.
 func (ln *shardLane) kindIndex(k string) int32 {
 	if ln.lastKind < len(ln.kinds) && ln.kinds[ln.lastKind].Kind == k {
 		return int32(ln.lastKind)
@@ -126,81 +166,82 @@ func (ln *shardLane) pushMsg(at Step, m imessage) {
 }
 
 // ensureLanes grows the lane set to shards entries. Lanes are append-only:
-// a ref minted by table i must resolve for the rest of the run, so a later
+// a ref minted by lane i must resolve for the rest of the run, so a later
 // step with fewer due processes simply uses a prefix of the lanes.
 func (e *engine) ensureLanes(shards int) {
 	for len(e.lanes) < shards {
-		e.lanes = append(e.lanes, shardLane{})
-		ln := &e.lanes[len(e.lanes)-1]
-		ln.ptab.init(e.n/shards + 1)
+		e.lanes = append(e.lanes, shardLane{tag: int64(len(e.lanes)) << 32})
+		e.lanes[len(e.lanes)-1].ptab.init(e.n / shards)
 	}
 }
 
-// stepCommitSharded runs the local steps of due at step t with the fused
-// parallel step+commit phase followed by the serial merge. Callers have
-// checked workers > 1, a due set worth splitting, and no trace sink.
-func (e *engine) stepCommitSharded(t Step, due []ProcID) {
-	shards := e.workers
-	if m := len(due) / 2; shards > m {
-		shards = m
-	}
-	if shards > maxShardLanes {
-		shards = maxShardLanes
-	}
-	e.ensureLanes(shards)
+// lanePart is lane s's share of a due set split over shards lanes: a
+// contiguous range, empty for trailing lanes the ceiling division left
+// nothing for.
+func lanePart(due []ProcID, shards, s int) []ProcID {
 	chunk := (len(due) + shards - 1) / shards
+	lo := min(s*chunk, len(due))
+	return due[lo:min(lo+chunk, len(due))]
+}
+
+// forkLanes runs the step+prepare phase of due at step t on shards
+// goroutines, one lane each, and waits for them. A process that panics
+// stops its lane; the first such lane's panic is re-raised here with the
+// worker's stack attached.
+func (e *engine) forkLanes(t Step, due []ProcID, shards int) {
+	e.ensureLanes(shards)
 	for s := 0; s < shards; s++ {
-		lo := s * chunk
-		hi := lo + chunk
-		if hi > len(due) {
-			hi = len(due)
-		}
-		if lo >= hi {
+		part := lanePart(due, shards, s)
+		if len(part) == 0 {
 			break
 		}
 		e.wg.Add(1)
-		go func(s int, part []ProcID) {
+		go func(ln *shardLane, part []ProcID) {
 			defer e.wg.Done()
+			p := part[0]
 			defer func() {
 				if r := recover(); r != nil {
-					e.panicMu.Lock()
-					e.panics = append(e.panics, r)
-					e.panicMu.Unlock()
+					ln.crash = &LanePanic{Value: r, Proc: p, Step: t, Stack: debug.Stack()}
 				}
 			}()
 			start := time.Now()
-			ln := &e.lanes[s]
-			table := int64(s + 1)
-			for _, p := range part {
+			for _, p = range part {
 				e.stepOne(t, p)
-				e.prepareOne(t, p, ln, table)
+				e.prepareOne(t, p, ln)
 			}
 			ln.wall += time.Since(start)
-		}(s, due[lo:hi])
+		}(&e.lanes[s], part)
 	}
 	e.wg.Wait()
-	if len(e.panics) > 0 {
-		panic(e.panics[0])
+	for s := range e.lanes[:shards] {
+		if lp := e.lanes[s].crash; lp != nil {
+			panic(lp)
+		}
 	}
-	start := time.Now()
-	e.mergeLanes(t, due, shards)
-	e.mergeWall += time.Since(start)
 }
 
-// prepareOne is the parallel-phase half of commitOne: every effect of p's
-// local step that is p-local or lane-local. It mirrors commitOne's
-// structure line for line; the review invariant is that each serial
-// statement is either here (against lane state) or in mergeLanes/finishOne
-// (against shared state), never both.
-func (e *engine) prepareOne(t Step, p ProcID, ln *shardLane, table int64) {
+// prepareOne publishes every effect of p's local step that is p-local or
+// lane-local: mailbox consumption, the send gate, interning, and the
+// lane's buffered calendar appends, trace events and counter deltas. It is
+// the only place the engine moves a message from an outbox toward the
+// network. What touches shared state waits for the merge.
+func (e *engine) prepareOne(t Step, p ProcID, ln *shardLane) {
+	traced := e.cfg.Trace != nil
+	if traced {
+		ln.tev = append(ln.tev, TraceEvent{Kind: TraceLocalStep, Step: t, Proc: p, Other: -1})
+	}
 	e.pt.anchor[p] = t
-	ln.pendingDelta += e.pt.pendingCount[p]
+	ln.n.pending += e.pt.pendingCount[p]
 	e.pt.pendingCount[p] = 0
 	e.pt.clearMail(p)
-	ln.events++
-	ln.localSteps++
+	ln.n.localSteps++
 
 	ob := &e.outboxes[p]
+	// Resolve the staged payloads of this local step into lane-table slots.
+	// The table's identity memo collapses re-sends of the most recently
+	// interned value to its existing slot, and carries the kind index with
+	// it, so Kind() resolves only on memo misses. Staging order is
+	// first-send order, so kinds register in the order sends first use them.
 	res, kres, cnt := ln.res[:0], ln.kres[:0], ln.cnt[:0]
 	for _, pl := range ob.staged {
 		slot, fresh := ln.ptab.intern(pl)
@@ -222,65 +263,75 @@ func (e *engine) prepareOne(t Step, p ProcID, ln *shardLane, table int64) {
 	statsOn := e.statsEvery > 0
 	for _, d := range ob.drafts {
 		to := ProcID(d.to)
-		ln.sends++
+		ln.n.sends++
 		e.pt.sent[p]++
 		e.pt.lastSend[p] = t
-		ln.events++
 		ln.kinds[kres[d.pi]].Count++
 		if statsOn {
-			ln.intSends++
 			ln.delayHist[delayBucket(delay)]++
 		}
 		if e.adv != nil {
+			// Only an adversary reads the send log; without one, appending
+			// would grow an O(M) slice nobody drains.
 			ln.sendLog = append(ln.sendLog, SendRecord{From: p, To: to, SentAt: t, DeliverAt: deliverAt})
 		}
-		if e.graph != nil && !e.graph.Live(p, to) {
-			// Same check, same position as commitOne: the graph is
-			// read-only during commits (edges change only in Observe), so
-			// lanes consult it without synchronization.
-			ln.blockedSends++
-			continue
+		if traced {
+			ln.tev = append(ln.tev, TraceEvent{Kind: TraceSend, Step: t, Proc: p, Other: to, Payload: ob.staged[d.pi]})
 		}
-		if e.pt.crashed(to) || omitted {
-			if e.pt.crashed(to) {
-				ln.dropped++
-			} else {
-				ln.omitted++
+		// The send gate. Every send above counts in M(O); drop names why
+		// the network never carries this one, in precedence order.
+		drop, fault := "", FaultNone
+		switch {
+		case e.graph != nil && !e.graph.Live(p, to):
+			// Off-graph send: the edge does not exist. Checked before the
+			// crash/omission/link verdicts so a dead edge always yields
+			// the "topology" drop, keeping the trace auditor's edge
+			// accounting exact.
+			ln.n.blockedSends++
+			drop = "topology"
+		case e.pt.crashed(to):
+			ln.n.dropped++
+			drop = "crashed"
+		case omitted:
+			ln.n.omitted++
+			drop = "omit"
+		case e.linkActive && e.linkBlocked(p, to):
+			ln.n.droppedLink++
+			drop = "link"
+		case e.faults != nil:
+			// Roll is a pure hash and sent[p] is p-local, so lanes reach
+			// the same verdict for the same send without sharing a stream.
+			if fault = e.faults.Roll(p, to, t, e.pt.sent[p]); fault == FaultDrop {
+				ln.n.droppedLink++
+				drop = "loss"
+			}
+		}
+		if drop != "" {
+			if traced {
+				ln.tev = append(ln.tev, TraceEvent{Kind: TraceDrop, Step: t, Proc: to, Other: p, Payload: ob.staged[d.pi], Note: drop})
 			}
 			continue
 		}
-		if e.linkActive && e.linkBlocked(p, to) {
-			ln.droppedLink++
-			continue
-		}
-		fault := FaultNone
-		if e.faults != nil {
-			// Roll is a pure hash of the same inputs the serial loop
-			// feeds it — sent[p] is p-local, so the lane's post-increment
-			// value matches serial execution exactly.
-			fault = e.faults.Roll(p, to, t, e.pt.sent[p])
-			if fault == FaultDrop {
-				ln.droppedLink++
-				continue
-			}
-		}
-		ref := table<<32 | int64(res[d.pi])
+		ref := ln.tag | int64(res[d.pi])
+		copies := int32(1)
 		if fault == FaultCorrupt {
 			ref |= refCorruptBit
 		}
 		ln.pushMsg(deliverAt, imessage{from: int32(p), to: d.to, ref: ref, sentAt: t})
-		cnt[d.pi]++
-		// The one cross-shard write: any process can be the recipient.
-		atomic.AddInt64(&e.pt.inflightTo[to], 1)
-		ln.inflightDelta++
 		if fault == FaultDuplicate {
-			ln.pushMsg(deliverAt, imessage{from: int32(p), to: d.to,
-				ref: table<<32 | int64(res[d.pi]) | refDupBit, sentAt: t})
-			cnt[d.pi]++
-			atomic.AddInt64(&e.pt.inflightTo[to], 1)
-			ln.inflightDelta++
+			// Second copy of a duplicated delivery: same step, flagged so
+			// delivery counts it as the duplicate.
+			ln.pushMsg(deliverAt, imessage{from: int32(p), to: d.to, ref: ref | refDupBit, sentAt: t})
+			copies = 2
 		}
+		cnt[d.pi] += copies
+		ln.n.inflight += int64(copies)
+		// The one cross-lane write: any process can be the recipient.
+		atomic.AddInt64(&e.pt.inflightTo[to], int64(copies))
 	}
+	// One batched refcount update per staged payload — not one per copy —
+	// and an immediate sweep of slots whose every send was dropped before
+	// reaching the calendar.
 	for i, slot := range res {
 		if cnt[i] > 0 {
 			ln.ptab.addRefs(slot, cnt[i])
@@ -291,86 +342,89 @@ func (e *engine) prepareOne(t Step, p ProcID, ln *shardLane, table int64) {
 	ob.clear()
 }
 
-// mergeLanes folds the lanes into shared engine state in shard order —
-// ascending process order — then runs the order-sensitive per-process tail
-// serially. This is the only code that touches shared state between the
-// parallel phase and the next event, so its fold order fully determines
-// (and preserves) the serial engine's observable behavior.
-func (e *engine) mergeLanes(t Step, due []ProcID, shards int) {
-	statsOn := e.statsEvery > 0
-	for s := 0; s < shards; s++ {
-		ln := &e.lanes[s]
-		e.st.LocalSteps += ln.localSteps
-		e.eventCount += ln.events
-		e.msgTotal += ln.sends
-		e.st.DroppedCrashed += ln.dropped
-		e.st.OmittedSends += ln.omitted
-		e.st.DroppedLink += ln.droppedLink
-		e.st.BlockedSends += ln.blockedSends
-		e.totalPending -= ln.pendingDelta
-		e.inflight += ln.inflightDelta
-		e.inflightToCorrect += ln.inflightDelta
-		if statsOn {
-			e.interval.Sends += ln.intSends
-			for i, v := range ln.delayHist {
-				if v != 0 {
-					e.interval.DelayHist[i] += v
-					ln.delayHist[i] = 0
-				}
-			}
+// mergeLane publishes what a lane buffered for part — the processes it has
+// prepared since its last merge, in ascending order — to the shared engine
+// state: sends enter the calendar and the adversary's send log, then each
+// process's trace events reach the sink, followed by its order-sensitive
+// tail. Together with foldCounts this is the only code that touches shared
+// state between the local steps and the next event, and it always runs on
+// the run's goroutine, lane by lane in ascending process order, so its
+// order fully determines the engine's observable behavior.
+func (e *engine) mergeLane(t Step, ln *shardLane, part []ProcID) {
+	base := 0
+	for _, run := range ln.runs {
+		if e.cal.addRun(run.at, ln.msgs[base:base+int(run.n)]) {
+			e.sched.scheduleDelivery(run.at)
 		}
-		for i := range ln.kinds {
-			if c := ln.kinds[i].Count; c != 0 {
-				e.kinds[e.kindIndex(ln.kinds[i].Kind)].Count += c
-				ln.kinds[i].Count = 0
-			}
-		}
-		if len(ln.sendLog) > 0 {
-			e.sendLog = append(e.sendLog, ln.sendLog...)
-			ln.sendLog = ln.sendLog[:0]
-		}
-		base := 0
-		for _, run := range ln.runs {
-			if e.cal.addRun(run.at, ln.msgs[base:base+int(run.n)]) {
-				e.sched.scheduleDelivery(run.at)
-			}
-			base += int(run.n)
-		}
-		ln.msgs = ln.msgs[:0]
-		ln.runs = ln.runs[:0]
-		ln.localSteps, ln.events, ln.sends = 0, 0, 0
-		ln.dropped, ln.omitted, ln.droppedLink, ln.blockedSends = 0, 0, 0, 0
-		ln.pendingDelta, ln.inflightDelta, ln.intSends = 0, 0, 0
+		base += int(run.n)
 	}
-	// In-flight only grows during a commit phase, so the folded end value
-	// is the phase maximum — identical to the serial per-send check.
+	ln.msgs = ln.msgs[:0]
+	ln.runs = ln.runs[:0]
+	if len(ln.sendLog) > 0 {
+		e.sendLog = append(e.sendLog, ln.sendLog...)
+		ln.sendLog = ln.sendLog[:0]
+	}
+
+	next := 0
+	for _, p := range part {
+		// p's LocalStep, then its sends and drops, up to the next process's
+		// LocalStep. Nothing is buffered in an untraced run.
+		for ; next < len(ln.tev) && (ln.tev[next].Proc == p || ln.tev[next].Kind != TraceLocalStep); next++ {
+			e.cfg.Trace.Event(ln.tev[next])
+		}
+		e.finishOne(t, p)
+	}
+	ln.tev = ln.tev[:0]
+}
+
+// foldCounts adds the lane's counter deltas to the run's counters and
+// zeroes them. Every counter is a sum, so once per step is as good as once
+// per send.
+func (e *engine) foldCounts(ln *shardLane) {
+	n := &ln.n
+	e.st.LocalSteps += n.localSteps
+	e.eventCount += n.localSteps + n.sends
+	e.msgTotal += n.sends
+	e.st.DroppedCrashed += n.dropped
+	e.st.OmittedSends += n.omitted
+	e.st.DroppedLink += n.droppedLink
+	e.st.BlockedSends += n.blockedSends
+	e.totalPending -= n.pending
+	e.inflight += n.inflight
+	e.inflightToCorrect += n.inflight
+	if e.statsEvery > 0 {
+		e.interval.Sends += n.sends
+		for i, v := range ln.delayHist {
+			if v != 0 {
+				e.interval.DelayHist[i] += v
+				ln.delayHist[i] = 0
+			}
+		}
+	}
+	*n = laneCounts{}
+	// In-flight only grows during a commit phase, so the folded value is
+	// the maximum of everything folded so far.
 	if e.inflight > e.st.MaxInFlight {
 		e.st.MaxInFlight = e.inflight
 	}
-	for _, p := range due {
-		e.finishOne(t, p)
-	}
 }
 
-// shardWall summarizes the run's sharded-phase timing for WallStats:
-// per-lane commit wall, merge wall, and the max/mean imbalance ratio.
+// shardWall summarizes the run's forked-phase timing for WallStats:
+// per-lane commit wall, merge wall, and the max/mean imbalance ratio. A
+// run that never forked reports nothing.
 func (e *engine) shardWall() (commit []time.Duration, merge time.Duration, imbalance float64) {
-	if len(e.lanes) == 0 {
+	var sum, slowest time.Duration
+	for i := range e.lanes {
+		sum += e.lanes[i].wall
+		slowest = max(slowest, e.lanes[i].wall)
+	}
+	if sum == 0 {
 		return nil, 0, 0
 	}
 	commit = make([]time.Duration, len(e.lanes))
-	var sum, max time.Duration
 	for i := range e.lanes {
-		w := e.lanes[i].wall
-		commit[i] = w
-		sum += w
-		if w > max {
-			max = w
-		}
+		commit[i] = e.lanes[i].wall
 	}
-	if sum > 0 {
-		mean := float64(sum) / float64(len(commit))
-		imbalance = float64(max) / mean
-	}
-	return commit, e.mergeWall, imbalance
+	mean := float64(sum) / float64(len(commit))
+	return commit, e.mergeWall, float64(slowest) / mean
 }

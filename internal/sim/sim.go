@@ -30,8 +30,8 @@
 //
 // A run is a pure function of (Config, Seed). Every process, the adversary
 // and the engine own independent deterministic random streams derived from
-// the seed, so the parallel stepping mode (Config.Workers > 1) produces
-// bit-identical outcomes to the serial one.
+// the seed, so a run forked over shard lanes (Config.Workers > 1)
+// produces outcomes and traces bit-identical to a one-lane run.
 package sim
 
 import "fmt"

@@ -10,9 +10,9 @@ import (
 // maintained inline by the stepping loop and returned with every Outcome.
 // Counting is pure observation — it never touches a random stream or a
 // scheduling decision — so enabling, reading, or extending Stats cannot
-// change simulation outcomes, and every counter is bit-identical between
-// serial and parallel stepping (all counting happens in the serial commit
-// phases). Only Wall depends on the host machine.
+// change simulation outcomes, and every counter is bit-identical for every
+// Config.Workers (lanes count into private deltas, folded in lane order by
+// the run's goroutine). Only Wall depends on the host machine.
 //
 // The counters are designed to cost a handful of integer operations per
 // engine event and to allocate nothing during the run: payload kinds are
@@ -107,7 +107,7 @@ type Stats struct {
 
 // StripWall returns a copy of s with the wall times zeroed — the
 // deterministic projection of the block, equal bit for bit across reruns
-// of the same (Config, Seed) and across serial and parallel stepping.
+// of the same (Config, Seed) and across worker counts.
 func (s Stats) StripWall() Stats {
 	s.Wall = WallStats{}
 	return s
@@ -132,14 +132,14 @@ type WallStats struct {
 	Finalize time.Duration
 
 	// ShardCommit is the accumulated wall time each shard lane spent in
-	// the parallel step+commit phase, indexed by lane; empty unless the
-	// run took the sharded path (Workers > 1). The new fields are
-	// omitempty so serial outcomes — and StripWall projections — keep
-	// their existing JSON encoding bit for bit (the golden matrices hash
-	// it).
+	// forked step+commit phases, indexed by lane; empty unless the run
+	// forked at least one step (Workers > 1 and a due set of 2·Workers or
+	// more). The shard fields are omitempty so outcomes of runs that never
+	// forked — and StripWall projections — keep the JSON encoding they
+	// had before lanes existed (the golden matrices hash it).
 	ShardCommit []time.Duration `json:",omitempty"`
-	// ShardMerge is the accumulated wall time of the serial merge that
-	// follows the parallel phase.
+	// ShardMerge is the accumulated wall time of the merges that follow
+	// forked phases.
 	ShardMerge time.Duration `json:",omitempty"`
 	// ShardImbalance is max/mean over ShardCommit — 1.0 is a perfectly
 	// balanced partition; large values say the contiguous process-range
@@ -234,17 +234,7 @@ func (s *Stats) Merge(other *Stats) {
 	s.LinkRewrites += other.LinkRewrites
 	s.TopologyRewrites += other.TopologyRewrites
 	for _, kc := range other.MessagesByKind {
-		found := false
-		for i := range s.MessagesByKind {
-			if s.MessagesByKind[i].Kind == kc.Kind {
-				s.MessagesByKind[i].Count += kc.Count
-				found = true
-				break
-			}
-		}
-		if !found {
-			s.MessagesByKind = append(s.MessagesByKind, kc)
-		}
+		s.MessagesByKind = addKind(s.MessagesByKind, kc)
 	}
 	sortKinds(s.MessagesByKind)
 	s.Wall.Init += other.Wall.Init
@@ -261,6 +251,18 @@ func (s *Stats) Merge(other *Stats) {
 	if other.Wall.ShardImbalance > s.Wall.ShardImbalance {
 		s.Wall.ShardImbalance = other.Wall.ShardImbalance
 	}
+}
+
+// addKind adds kc's count to the entry of its kind, appending one if the
+// kind is new.
+func addKind(kinds []KindCount, kc KindCount) []KindCount {
+	for i := range kinds {
+		if kinds[i].Kind == kc.Kind {
+			kinds[i].Count += kc.Count
+			return kinds
+		}
+	}
+	return append(kinds, kc)
 }
 
 func sortKinds(kinds []KindCount) {

@@ -99,6 +99,36 @@ func TestStatsDeterministic(t *testing.T) {
 	}
 }
 
+// TestShardWallOnlyWhenForked: Wall's shard fields time forked phases and
+// nothing else. A run that executed every step on the inline lane — because
+// Workers ≤ 1, or because no due set ever reached 2·Workers — reports none
+// of them, so its Outcome encodes exactly as it did before lanes existed;
+// a run that forked reports one commit wall per lane.
+func TestShardWallOnlyWhenForked(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		forked bool
+	}{
+		{"workers=0", Config{N: 64, Protocol: pullEchoProto{pulls: 8}, Seed: 1}, false},
+		{"workers=4 below threshold", Config{N: 7, Protocol: pullEchoProto{pulls: 8}, Seed: 1, Workers: 4}, false},
+		{"workers=4", Config{N: 64, Protocol: pullEchoProto{pulls: 8}, Seed: 1, Workers: 4}, true},
+	} {
+		w := mustRun(t, tc.cfg).Stats.Wall
+		if !tc.forked {
+			if len(w.ShardCommit) != 0 || w.ShardMerge != 0 || w.ShardImbalance != 0 {
+				t.Errorf("%s: never forked, yet ShardCommit=%v ShardMerge=%v ShardImbalance=%v",
+					tc.name, w.ShardCommit, w.ShardMerge, w.ShardImbalance)
+			}
+			continue
+		}
+		if len(w.ShardCommit) != tc.cfg.Workers || w.ShardMerge <= 0 || w.ShardImbalance < 1 {
+			t.Errorf("%s: forked, yet ShardCommit=%v ShardMerge=%v ShardImbalance=%v",
+				tc.name, w.ShardCommit, w.ShardMerge, w.ShardImbalance)
+		}
+	}
+}
+
 // TestStatsSinkNeutrality: attaching trace sinks or interval statistics
 // must not change the outcome or the run-wide counters — observation is
 // pure.

@@ -138,8 +138,10 @@ func (ev TraceEvent) String() string {
 }
 
 // TraceSink receives engine events. Implementations must be fast; the
-// engine calls Event synchronously from the stepping loop. A nil sink in
-// Config disables tracing entirely (zero overhead).
+// engine calls Event synchronously from the stepping loop — only ever from
+// the goroutine that called Run, whatever Config.Workers is, so a sink
+// needs no locking of its own. A nil sink in Config disables tracing
+// entirely (zero overhead).
 type TraceSink interface {
 	Event(ev TraceEvent)
 }

@@ -128,10 +128,28 @@ func TestMessageString(t *testing.T) {
 	}
 }
 
+// TestParallelPanicPropagates: a protocol panic on a forked lane surfaces
+// on the run's goroutine as a LanePanic that still knows where it came
+// from — the value, the process, the step, and the worker's stack, which
+// names the protocol's Step rather than the engine's re-raise.
 func TestParallelPanicPropagates(t *testing.T) {
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("protocol panic in parallel worker was swallowed")
+		}
+		lp, ok := r.(*LanePanic)
+		if !ok {
+			t.Fatalf("re-raised %T (%v), want *LanePanic", r, r)
+		}
+		if lp.Value != "boom" || lp.Proc != 17 || lp.Step != 1 {
+			t.Errorf("LanePanic = {%v, proc %d, step %d}, want {boom, proc 17, step 1}", lp.Value, lp.Proc, lp.Step)
+		}
+		if !strings.Contains(string(lp.Stack), "panicProc).Step") {
+			t.Errorf("stack does not name the protocol's Step:\n%s", lp.Stack)
+		}
+		if !strings.Contains(lp.Error(), "boom") {
+			t.Errorf("Error() = %q, want the original value in it", lp.Error())
 		}
 	}()
 	Run(Config{N: 32, F: 0, Protocol: panicProto{at: 17}, Seed: 1, Workers: 4})

@@ -2,6 +2,9 @@ package simtest
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"os"
 	"reflect"
 	"strconv"
@@ -214,4 +217,92 @@ func TestPropertyTraceInvariants(t *testing.T) {
 				c.Name, live.Count(sim.TraceEnd), replayed.Count(sim.TraceEnd))
 		}
 	}
+}
+
+// TestPropertyTracedShardsMatchSerial is the traced twin of the shards
+// property: shard lanes buffer their processes' step, send and drop events
+// and the merge hands them to the sink in process order, so the JSONL
+// stream of a 2-lane or 8-lane run is byte for byte the stream of the
+// Workers = 0 run — not merely an equivalent one — and each of the three
+// passes the Section II-A validator against its own run's Outcome. Big-N
+// cases, where nearly every step forks, compare SHA-256 digests of the
+// stream instead of holding three copies of it. scripts/verify.sh and CI
+// run this under -race too: it is the only property in which lanes append
+// trace events concurrently.
+func TestPropertyTracedShardsMatchSerial(t *testing.T) {
+	for i := 0; i < configCount(t); i++ {
+		c := Gen(genSeedBase + uint64(i))
+		serial := tracedStream(t, c, 0)
+		for _, workers := range []int{2, 8} {
+			if got := tracedStream(t, c, workers); !bytes.Equal(got, serial) {
+				t.Errorf("%s: traced workers=%d stream differs from the serial stream%s",
+					c.Name, workers, firstLineDiff(c, serial, got))
+			}
+		}
+	}
+}
+
+// tracedStream runs c with the given worker count and a JSONL sink, audits
+// the stream — online for every case, and again from the decoded JSONL for
+// the small ones (check.Replay + Finish) — and returns the bytes the sink
+// wrote, or their SHA-256 digest for a Big case.
+func tracedStream(t *testing.T, c Case, workers int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	digest := sha256.New()
+	var w io.Writer = &buf
+	if c.Big {
+		w = digest
+	}
+	audit := func() *check.Sink {
+		s := check.New()
+		if c.Cfg.Topology != nil {
+			s.UseTopology(c.Cfg.Topology, c.Cfg.N)
+		}
+		return s
+	}
+	live, jsonl := audit(), trace.NewJSONL(w)
+	cfg := c.Cfg
+	cfg.Workers = workers
+	cfg.Trace = trace.Multi(live, jsonl)
+	o, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatalf("%s: workers=%d: %v", c.Name, workers, err)
+	}
+	if err := jsonl.Flush(); err != nil {
+		t.Fatalf("%s: workers=%d: flush: %v", c.Name, workers, err)
+	}
+	for _, v := range live.Finish(o) {
+		t.Errorf("%s: workers=%d: online validation: %s", c.Name, workers, v)
+	}
+	if c.Big {
+		return digest.Sum(nil)
+	}
+	stream := bytes.Clone(buf.Bytes())
+	recs, err := trace.Read(&buf)
+	if err != nil {
+		t.Fatalf("%s: workers=%d: decode: %v", c.Name, workers, err)
+	}
+	replayed := audit()
+	if err := check.ReplayInto(replayed, recs); err != nil {
+		t.Fatalf("%s: workers=%d: replay: %v", c.Name, workers, err)
+	}
+	for _, v := range replayed.Finish(o) {
+		t.Errorf("%s: workers=%d: replay validation: %s", c.Name, workers, v)
+	}
+	return stream
+}
+
+// firstLineDiff names the first JSONL line at which two streams part.
+func firstLineDiff(c Case, a, b []byte) string {
+	if c.Big {
+		return " (digests compared)"
+	}
+	la, lb := bytes.Split(a, []byte("\n")), bytes.Split(b, []byte("\n"))
+	for i := 0; i < len(la) && i < len(lb); i++ {
+		if !bytes.Equal(la[i], lb[i]) {
+			return fmt.Sprintf(" at line %d:\n  serial:  %s\n  sharded: %s", i+1, la[i], lb[i])
+		}
+	}
+	return fmt.Sprintf(": %d vs %d lines", len(la), len(lb))
 }

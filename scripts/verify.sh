@@ -14,10 +14,11 @@ go test -timeout 10m ./...
 go test -race -timeout 20m ./...
 
 # Full differential/property sweep (internal/simtest): engine vs the
-# naive reference engine, serial vs parallel, serial vs sharded commits,
-# same-seed determinism, and online trace validation, over 600 generated
-# configs per property — above the 224 a plain non-short `go test` uses
-# and far above the 48 of tier-1's -short mode. Roughly a quarter of the
+# naive reference engine, serial vs parallel, serial vs sharded commits
+# (outcomes, and traced runs byte for byte), same-seed determinism, and
+# online trace validation, over 600 generated configs per property —
+# above the 224 a plain non-short `go test` uses and far above the 48 of
+# tier-1's -short mode. Roughly a quarter of the
 # generated configs carry an active fault plan (lossy links, partitions,
 # crash-recovery scripts) and another quarter a non-complete topology
 # (ring, k-regular, expander, radio — with edge-edit scripts and the
@@ -26,11 +27,13 @@ go test -race -timeout 20m ./...
 # send path, and stall-safe termination on every property.
 UGF_PROPERTY_CONFIGS=600 go test -count=1 -timeout 20m -run 'TestProperty' ./internal/simtest/
 
-# Sharded-commit race band: the shards property again, under the race
-# detector, on a reduced config band. The plain sweep above proves the
-# merge is outcome-preserving; this run is what actually exercises the
-# shard lanes' no-shared-mutable-state claim (CI runs the same band).
-UGF_PROPERTY_CONFIGS=80 go test -race -count=1 -timeout 15m -run 'TestPropertyShardsMatchSerial' ./internal/simtest/
+# Sharded-commit race band: the shards property and its traced twin
+# again, under the race detector, on a reduced config band. The plain
+# sweep above proves the merge is outcome- and trace-preserving; this run
+# is what actually exercises the shard lanes' no-shared-mutable-state
+# claim — the traced property is the only one in which lanes append trace
+# events concurrently (CI runs the same band).
+UGF_PROPERTY_CONFIGS=80 go test -race -count=1 -timeout 15m -run 'TestPropertyShardsMatchSerial|TestPropertyTracedShardsMatchSerial' ./internal/simtest/
 
 # Live-transport oracle band: the full internal/live suite already ran in
 # the -race pass above (bit-exact live ≡ sim equality, audited traces,

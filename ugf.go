@@ -25,8 +25,8 @@
 //	fmt.Println(outcome) // M(O), T(O), strategy drawn, rumor gathering, …
 //
 // A run is a pure function of (Config, Seed): rerunning the same
-// configuration reproduces the outcome bit for bit, including under
-// parallel stepping (Config.Workers).
+// configuration reproduces the outcome bit for bit, for every lane count
+// (Config.Workers).
 //
 // # Implementing your own protocol or adversary
 //
