@@ -8,6 +8,7 @@ package ugf_test
 // paper-scale versions.
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ugf-sim/ugf"
@@ -61,11 +62,11 @@ func BenchmarkTableTuning(b *testing.B)     { benchExperiment(b, "tuning") }
 func benchAttack(b *testing.B, n, f int, proto ugf.Protocol, adv ugf.Adversary) {
 	var medT, medM float64
 	for i := 0; i < b.N; i++ {
-		results, err := runner.Execute([]runner.Spec{{
+		results, err := runner.ExecuteContext(context.Background(), []runner.Spec{{
 			Name: "bench",
 			Base: ugf.Config{N: n, F: f, Protocol: proto, Adversary: adv},
 			Runs: 8, BaseSeed: uint64(i + 1),
-		}}, 0, nil)
+		}}, runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -111,7 +111,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		serve       = fs.Bool("serve", false, "run as a sweep coordinator: mount the job API on -debugaddr and wait for workers and submissions")
 		workerURL   = fs.String("worker", "", "run as a sweep worker against the coordinator at this URL (e.g. http://host:6060)")
 		coordURL    = fs.String("coord", "", "execute experiments through the coordinator at this URL instead of the local pool")
-		cacheDir    = fs.String("cachedir", "", "with -serve, persist the content-addressed result cache in this directory")
+		cacheDir    = fs.String("cachedir", "", "with -serve, persist the content-addressed result cache in this directory (cache.jsonl)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -161,6 +161,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			if err != nil {
 				return err
 			}
+			defer coord.Cache().Close()
 			// The job API shares the debug listener: one address carries
 			// observability and jobs.
 			service.Register(http.DefaultServeMux, coord)
@@ -287,6 +288,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			if cerr := j.Close(); cerr != nil && err == nil {
 				err = cerr
 			}
+			if n, werr := j.WriteErrors(); n > 0 {
+				fmt.Fprintf(os.Stderr, "ugfbench: experiment %s: %d run(s) could not be journaled: %v; -resume will recompute them\n", e.ID, n, werr)
+			}
 		}
 		if err != nil {
 			if errors.Is(err, context.Canceled) && j != nil {
@@ -306,7 +310,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 		if common.Stats {
-			renderStats(out, rep)
+			fmt.Fprintf(out, "engine stats over %d run(s):\n", rep.EngineRuns)
+			cliflags.PrintStats(out, &rep.Engine)
+			fmt.Fprintln(out)
 		}
 		if *outDir != "" {
 			if err := writeFiles(*outDir, rep); err != nil {
@@ -409,60 +415,6 @@ func sanitizeName(s string) string {
 		}
 		return r
 	}, s)
-}
-
-// renderStats prints the experiment's aggregated engine counters (-stats).
-func renderStats(w io.Writer, rep *experiments.Report) {
-	s := &rep.Engine
-	fmt.Fprintf(w, "engine stats over %d run(s):\n", rep.EngineRuns)
-	fmt.Fprintf(w, "  scheduler: %d events, %d heap pushes, %d pops, %d active steps\n",
-		s.Events, s.HeapPushes, s.HeapPops, s.ActiveSteps)
-	fmt.Fprintf(w, "  messages:  %d sent, %d delivered, %d dropped at crashed procs, %d omitted%s\n",
-		s.Sends, s.Deliveries, s.DroppedCrashed, s.OmittedSends, kindBreakdown(s.MessagesByKind))
-	if s.DroppedLink != 0 || s.DupDeliveries != 0 || s.CorruptDrops != 0 {
-		fmt.Fprintf(w, "  faults:    %d dropped on links, %d duplicate deliveries, %d corrupt discards\n",
-			s.DroppedLink, s.DupDeliveries, s.CorruptDrops)
-	}
-	if s.BlockedSends != 0 || s.TopologyRewrites != 0 {
-		fmt.Fprintf(w, "  topology:  %d sends blocked off-graph, %d edge rewrites\n",
-			s.BlockedSends, s.TopologyRewrites)
-	}
-	fmt.Fprintf(w, "  pressure:  max %d in flight, max %d pending in mailboxes\n",
-		s.MaxInFlight, s.MaxPending)
-	fmt.Fprintf(w, "  lifecycle: %d local steps, %d sleeps, %d wakes, %d crashes, %d recoveries\n",
-		s.LocalSteps, s.Sleeps, s.Wakes, s.Crashes, s.Recoveries)
-	fmt.Fprintf(w, "  adversary: %d delta / %d delay / %d omission / %d link rewrites\n",
-		s.DeltaRewrites, s.DelayRewrites, s.OmitRewrites, s.LinkRewrites)
-	fmt.Fprintf(w, "  wall time: init %v, run %v, finalize %v\n",
-		s.Wall.Init.Round(time.Microsecond), s.Wall.Run.Round(time.Microsecond),
-		s.Wall.Finalize.Round(time.Microsecond))
-	if len(s.Wall.ShardCommit) > 0 {
-		fmt.Fprintf(w, "  shards:    %d commit lane(s) %s, merge %v, imbalance ×%.2f\n",
-			len(s.Wall.ShardCommit), shardWalls(s.Wall.ShardCommit),
-			s.Wall.ShardMerge.Round(time.Microsecond), s.Wall.ShardImbalance)
-	}
-	fmt.Fprintln(w)
-}
-
-// shardWalls renders the per-shard commit walls as "[1.2ms 1.3ms …]".
-func shardWalls(ws []time.Duration) string {
-	parts := make([]string, len(ws))
-	for i, d := range ws {
-		parts[i] = d.Round(time.Microsecond).String()
-	}
-	return "[" + strings.Join(parts, " ") + "]"
-}
-
-// kindBreakdown renders MessagesByKind as " (data×12, pull×7)", or "".
-func kindBreakdown(kinds []sim.KindCount) string {
-	if len(kinds) == 0 {
-		return ""
-	}
-	parts := make([]string, len(kinds))
-	for i, kc := range kinds {
-		parts[i] = fmt.Sprintf("%s×%d", kc.Kind, kc.Count)
-	}
-	return " (" + strings.Join(parts, ", ") + ")"
 }
 
 // atomicWrite streams the file through a temp file in the target

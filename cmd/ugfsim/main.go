@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -203,7 +204,8 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		if common.Stats {
-			printStats(out, o.Stats)
+			fmt.Fprintln(out, "engine stats:")
+			cliflags.PrintStats(out, &o.Stats)
 		}
 		return emit(o)
 	}
@@ -233,7 +235,7 @@ func run(args []string, out io.Writer) error {
 			Base: cfg,
 			Runs: *runs, BaseSeed: *seed,
 		}}
-		results, err := runner.Execute(specs, *workers, nil)
+		results, err := runner.ExecuteContext(context.Background(), specs, runner.Options{Workers: *workers})
 		if err != nil {
 			return err
 		}
@@ -311,36 +313,4 @@ func runOnce(cfg ugf.Config, liveMode bool) (ugf.Outcome, error) {
 		return ugf.Outcome{}, err
 	}
 	return live.Run(lc)
-}
-
-// printStats renders the run's engine statistics block (-stats).
-func printStats(w io.Writer, s ugf.Stats) {
-	fmt.Fprintf(w, "engine stats:\n")
-	fmt.Fprintf(w, "  scheduler: %d events, %d heap pushes, %d pops, %d active steps\n",
-		s.Events, s.HeapPushes, s.HeapPops, s.ActiveSteps)
-	fmt.Fprintf(w, "  messages:  %d sent, %d delivered, %d dropped at crashed procs, %d omitted\n",
-		s.Sends, s.Deliveries, s.DroppedCrashed, s.OmittedSends)
-	if s.DroppedLink != 0 || s.DupDeliveries != 0 || s.CorruptDrops != 0 {
-		fmt.Fprintf(w, "  faults:    %d dropped on links, %d duplicate deliveries, %d corrupt discards\n",
-			s.DroppedLink, s.DupDeliveries, s.CorruptDrops)
-	}
-	if s.BlockedSends != 0 || s.TopologyRewrites != 0 {
-		fmt.Fprintf(w, "  topology:  %d sends blocked off-graph, %d edge rewrites\n",
-			s.BlockedSends, s.TopologyRewrites)
-	}
-	for _, kc := range s.MessagesByKind {
-		fmt.Fprintf(w, "             %s×%d\n", kc.Kind, kc.Count)
-	}
-	fmt.Fprintf(w, "  pressure:  max %d in flight, max %d pending in mailboxes\n",
-		s.MaxInFlight, s.MaxPending)
-	fmt.Fprintf(w, "  lifecycle: %d local steps, %d sleeps, %d wakes, %d crashes, %d recoveries\n",
-		s.LocalSteps, s.Sleeps, s.Wakes, s.Crashes, s.Recoveries)
-	fmt.Fprintf(w, "  adversary: %d delta / %d delay / %d omission / %d link rewrites\n",
-		s.DeltaRewrites, s.DelayRewrites, s.OmitRewrites, s.LinkRewrites)
-	fmt.Fprintf(w, "  wall time: init %v, run %v, finalize %v\n",
-		s.Wall.Init, s.Wall.Run, s.Wall.Finalize)
-	if len(s.Wall.ShardCommit) > 0 {
-		fmt.Fprintf(w, "  shards:    %d commit lane(s) %v, merge %v, imbalance ×%.2f\n",
-			len(s.Wall.ShardCommit), s.Wall.ShardCommit, s.Wall.ShardMerge, s.Wall.ShardImbalance)
-	}
 }

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -62,11 +63,11 @@ func main() {
 // measure returns the median time and message complexity of runs
 // repetitions of EARS under the given adversary.
 func measure(n, f int, adv ugf.Adversary, runs int) (medT, medM float64) {
-	results, err := runner.Execute([]runner.Spec{{
+	results, err := runner.ExecuteContext(context.Background(), []runner.Spec{{
 		Name: "fakenews",
 		Base: ugf.Config{N: n, F: f, Protocol: ugf.EARS{}, Adversary: adv},
 		Runs: runs, BaseSeed: 42,
-	}}, 0, nil)
+	}}, runner.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

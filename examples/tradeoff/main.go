@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -34,7 +35,7 @@ func main() {
 
 	for _, alpha := range []int{1, 2, 4, 8, 16} {
 		proto := ugf.BudgetCapped{Alpha: alpha}
-		results, err := runner.Execute([]runner.Spec{{
+		results, err := runner.ExecuteContext(context.Background(), []runner.Spec{{
 			Name: fmt.Sprintf("alpha=%d", alpha),
 			Base: ugf.Config{
 				N: n, F: f,
@@ -42,7 +43,7 @@ func main() {
 				Adversary: ugf.UGF{FixedK: 1, FixedL: 1},
 			},
 			Runs: runs, BaseSeed: 2022,
-		}}, 0, nil)
+		}}, runner.Options{})
 		if err != nil {
 			log.Fatal(err)
 		}

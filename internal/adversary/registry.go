@@ -1,148 +1,46 @@
 package adversary
 
 import (
-	"fmt"
-	"reflect"
-
 	"github.com/ugf-sim/ugf/internal/core"
 	"github.com/ugf-sim/ugf/internal/params"
 	"github.com/ugf-sim/ugf/internal/sim"
 )
-
-// Entry is one registered adversary: its registry name, the configured
-// default instance, and the machine-readable schemas of its tunable
-// parameters — the same shape the protocol registry exposes, so the sweep
-// service validates both sides of a spec identically.
-type Entry struct {
-	// Name is the registry name ("ugf", "strategy-2.1.0", …). "none" has
-	// an Entry with a nil Adversary and no parameters.
-	Name string
-	// Adversary is the configured default instance (nil for "none").
-	Adversary sim.Adversary
-	// Params describes the entry's tunable parameters.
-	Params []params.Schema
-}
 
 // ByName returns the adversary with the given registry name, configured
 // with the paper's experimental parameters, mirroring gossip.ByName. The
 // name "none" resolves to (nil, true): a nil Adversary is the engine's
 // adversary-free mode. Parameterized construction is done with Build
 // (validated, by name) or by building the struct directly.
-func ByName(name string) (sim.Adversary, bool) {
-	if name == "none" {
-		return nil, true
-	}
-	e, ok := registry[name]
-	if !ok {
-		return nil, false
-	}
-	return e.Adversary, true
-}
-
-// EntryByName returns the full registry entry, schemas included; "none"
-// resolves to an empty entry.
-func EntryByName(name string) (Entry, bool) {
-	if name == "none" {
-		return Entry{Name: "none"}, true
-	}
-	e, ok := registry[name]
-	return e, ok
-}
+func ByName(name string) (sim.Adversary, bool) { return registry.ByName(name) }
 
 // Names lists the registry names, "none" first, then the paper's
 // presentation order: UGF and its variants, the component strategies, the
 // contrast adversaries.
-func Names() []string {
-	return append([]string(nil), names...)
-}
+func Names() []string { return registry.Names() }
 
-// Entries lists the registry entries in Names order, "none" included.
-func Entries() []Entry {
-	out := make([]Entry, 0, len(names))
-	for _, name := range names {
-		e, _ := EntryByName(name)
-		out = append(out, e)
-	}
-	return out
-}
+// Entries lists the registry entries in Names order ("none": nil Instance).
+func Entries() []params.Entry[sim.Adversary] { return registry.Entries() }
 
 // MustByName is ByName for static names; it panics on unknown ones.
-func MustByName(name string) sim.Adversary {
-	a, ok := ByName(name)
-	if !ok {
-		panic(fmt.Sprintf("adversary: unknown adversary %q (have %v)", name, Names()))
-	}
-	return a
-}
+func MustByName(name string) sim.Adversary { return registry.MustByName(name) }
 
-// Build constructs the named adversary with the given parameter overrides
-// applied on top of the entry's configured default instance, validated
-// against the entry's schemas. "none" accepts no parameters and builds
-// nil. Unknown names and invalid parameters return an error (a
-// *params.Error for parameter failures).
+// Build constructs the named adversary with parameter overrides validated
+// against its schemas; see params.Registry.Build. "none" accepts no
+// parameters and builds nil.
 func Build(name string, p map[string]float64) (sim.Adversary, error) {
-	if name == "none" {
-		if len(p) > 0 {
-			return nil, &params.Error{Msg: `adversary "none" takes no parameters`}
-		}
-		return nil, nil
+	if name == "none" && len(p) > 0 {
+		return nil, &params.Error{Msg: `adversary "none" takes no parameters`}
 	}
-	e, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("adversary: unknown adversary %q (have %v)", name, Names())
-	}
-	if len(p) == 0 {
-		return e.Adversary, nil
-	}
-	v, err := params.Apply(e.Adversary, p, e.Params)
-	if err != nil {
-		return nil, err
-	}
-	return v.(sim.Adversary), nil
+	return registry.Build(name, p)
 }
 
-// Extract maps a concrete adversary value back to (registry name,
-// parameter overrides): the inverse of Build, used by the spec
-// canonicalizer. nil extracts to "none". Exact matches on a configured
-// default win (so core.UGF{FixedK: 1, FixedL: 1} names "ugf" and
-// core.UGF{} names "ugf-sampled"); tuned instances name the first
-// same-type entry in Names order with the differing fields as overrides.
-// ok is false for unregistered adversary types.
+// Extract is the inverse of Build; see params.Registry.Extract. nil
+// extracts to "none".
 func Extract(a sim.Adversary) (name string, overrides map[string]float64, ok bool) {
 	if a == nil {
 		return "none", nil, true
 	}
-	bestName := ""
-	var bestDiff map[string]float64
-	for _, name := range names {
-		if name == "none" {
-			continue
-		}
-		e := registry[name]
-		if reflect.TypeOf(e.Adversary) != reflect.TypeOf(a) {
-			continue
-		}
-		diff := params.Diff(a, e.Adversary)
-		if len(diff) == 0 {
-			return name, nil, true // exact match on the configured default
-		}
-		if bestName == "" {
-			bestName = name
-			bestDiff = diff
-		}
-	}
-	if bestName == "" {
-		return "", nil, false
-	}
-	return bestName, bestDiff, true
-}
-
-// names fixes the order Names returns; every entry except "none" has a
-// registry value.
-var names = []string{
-	"none", "ugf", "ugf-sampled",
-	"strategy-1", "strategy-2.1.0", "strategy-2.1.1",
-	"oblivious", "omission", "partition", "crash-recovery", "rewire",
+	return registry.Extract(a)
 }
 
 // advBounds constrains the parameters whose domains the adversary
@@ -169,35 +67,33 @@ var advBounds = params.Bounds{
 	"drop":        {0, 1},
 }
 
-// registry maps names to configured entries. The strategy keys name the
-// k = l = 1 instantiations the experiments use ("strategy-2.1.0",
-// "strategy-2.1.1"), not the generic Name() labels ("strategy-2.k.0"),
-// which describe the parameterized family.
-var registry = map[string]Entry{}
-
-func register(name string, a sim.Adversary) {
-	registry[name] = Entry{Name: name, Adversary: a, Params: params.Describe(a, advBounds)}
-}
+// registry holds the entries in the order Names lists them, which is
+// part of every spec fingerprint. The strategy keys name the k = l = 1
+// instantiations the experiments use ("strategy-2.1.0", "strategy-2.1.1"),
+// not the generic Name() labels ("strategy-2.k.0"), which describe the
+// parameterized family.
+var registry = &params.Registry[sim.Adversary]{What: "adversary: unknown adversary", Bounds: advBounds}
 
 func init() {
+	registry.Add("none", nil)
 	// The paper's Section V-A3 setting fixes both exponents to 1; the
 	// sampled variant draws them from ζ(2) as Algorithm 1 specifies.
-	register("ugf", core.UGF{FixedK: 1, FixedL: 1})
-	register("ugf-sampled", core.UGF{})
-	register("strategy-1", core.Strategy1{})
-	register("strategy-2.1.0", core.Strategy2K0{})
-	register("strategy-2.1.1", core.Strategy2KL{})
-	register((Oblivious{}).Name(), Oblivious{})
-	register((Omission{}).Name(), Omission{})
+	registry.Add("ugf", core.UGF{FixedK: 1, FixedL: 1})
+	registry.Add("ugf-sampled", core.UGF{})
+	registry.Add("strategy-1", core.Strategy1{})
+	registry.Add("strategy-2.1.0", core.Strategy2K0{})
+	registry.Add("strategy-2.1.1", core.Strategy2KL{})
+	registry.Add((Oblivious{}).Name(), Oblivious{})
+	registry.Add((Omission{}).Name(), Omission{})
 	// The registry partition always heals after its cycles, so property
 	// sweeps over registry names terminate; Partition{Permanent: true} is
 	// only ever constructed directly (its spec encoding carries
 	// permanent=1).
-	register((Partition{}).Name(), Partition{})
-	register((CrashRecovery{}).Name(), CrashRecovery{})
+	registry.Add((Partition{}).Name(), Partition{})
+	registry.Add((CrashRecovery{}).Name(), CrashRecovery{})
 	// The registry rewire keeps Drop = 0 (edge-count-preserving), so
 	// property sweeps over registry names stay likely to terminate even
 	// on sparse topologies; dropping instances are built directly or via
 	// Build with a drop override.
-	register((Rewire{}).Name(), Rewire{})
+	registry.Add((Rewire{}).Name(), Rewire{})
 }

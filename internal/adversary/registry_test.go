@@ -32,12 +32,6 @@ func TestRegistryNamesResolve(t *testing.T) {
 			t.Errorf("ByName(%q) = nil", name)
 		}
 	}
-	// Every registry entry must be listed — no hidden adversaries.
-	for name := range registry {
-		if !seen[name] {
-			t.Errorf("registry entry %q missing from Names()", name)
-		}
-	}
 }
 
 func TestRegistryPaperSettings(t *testing.T) {

@@ -10,7 +10,9 @@ package cliflags
 import (
 	"flag"
 	"fmt"
+	"io"
 	"strings"
+	"time"
 
 	"github.com/ugf-sim/ugf/internal/sim"
 )
@@ -125,4 +127,57 @@ func ParseKindMask(s string) (sim.KindMask, error) {
 		mask |= sim.MaskOf(k)
 	}
 	return mask, nil
+}
+
+// PrintStats renders the body of the -stats block both CLIs print under
+// their own header line: a run's engine statistics, or an experiment's
+// aggregated over its runs.
+func PrintStats(w io.Writer, s *sim.Stats) {
+	fmt.Fprintf(w, "  scheduler: %d events, %d heap pushes, %d pops, %d active steps\n",
+		s.Events, s.HeapPushes, s.HeapPops, s.ActiveSteps)
+	fmt.Fprintf(w, "  messages:  %d sent, %d delivered, %d dropped at crashed procs, %d omitted%s\n",
+		s.Sends, s.Deliveries, s.DroppedCrashed, s.OmittedSends, kindBreakdown(s.MessagesByKind))
+	if s.DroppedLink != 0 || s.DupDeliveries != 0 || s.CorruptDrops != 0 {
+		fmt.Fprintf(w, "  faults:    %d dropped on links, %d duplicate deliveries, %d corrupt discards\n",
+			s.DroppedLink, s.DupDeliveries, s.CorruptDrops)
+	}
+	if s.BlockedSends != 0 || s.TopologyRewrites != 0 {
+		fmt.Fprintf(w, "  topology:  %d sends blocked off-graph, %d edge rewrites\n",
+			s.BlockedSends, s.TopologyRewrites)
+	}
+	fmt.Fprintf(w, "  pressure:  max %d in flight, max %d pending in mailboxes\n",
+		s.MaxInFlight, s.MaxPending)
+	fmt.Fprintf(w, "  lifecycle: %d local steps, %d sleeps, %d wakes, %d crashes, %d recoveries\n",
+		s.LocalSteps, s.Sleeps, s.Wakes, s.Crashes, s.Recoveries)
+	fmt.Fprintf(w, "  adversary: %d delta / %d delay / %d omission / %d link rewrites\n",
+		s.DeltaRewrites, s.DelayRewrites, s.OmitRewrites, s.LinkRewrites)
+	fmt.Fprintf(w, "  wall time: init %v, run %v, finalize %v\n",
+		s.Wall.Init.Round(time.Microsecond), s.Wall.Run.Round(time.Microsecond),
+		s.Wall.Finalize.Round(time.Microsecond))
+	if len(s.Wall.ShardCommit) > 0 {
+		fmt.Fprintf(w, "  shards:    %d commit lane(s) %s, merge %v, imbalance ×%.2f\n",
+			len(s.Wall.ShardCommit), shardWalls(s.Wall.ShardCommit),
+			s.Wall.ShardMerge.Round(time.Microsecond), s.Wall.ShardImbalance)
+	}
+}
+
+// shardWalls renders the per-shard commit walls as "[1.2ms 1.3ms …]".
+func shardWalls(ws []time.Duration) string {
+	parts := make([]string, len(ws))
+	for i, d := range ws {
+		parts[i] = d.Round(time.Microsecond).String()
+	}
+	return "[" + strings.Join(parts, " ") + "]"
+}
+
+// kindBreakdown renders MessagesByKind as " (data×12, pull×7)", or "".
+func kindBreakdown(kinds []sim.KindCount) string {
+	if len(kinds) == 0 {
+		return ""
+	}
+	parts := make([]string, len(kinds))
+	for i, kc := range kinds {
+		parts[i] = fmt.Sprintf("%s×%d", kc.Kind, kc.Count)
+	}
+	return " (" + strings.Join(parts, ", ") + ")"
 }

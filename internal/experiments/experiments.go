@@ -75,8 +75,6 @@ type Config struct {
 	// BaseSeed makes the whole experiment deterministic; 0 means 2022
 	// (the paper's year — an arbitrary but memorable default).
 	BaseSeed uint64
-	// Progress, when non-nil, receives per-run completion updates.
-	Progress func(done, total int)
 	// OnRun, when non-nil, receives the runner's rich per-run updates
 	// (identity, cumulative failure counts, journal hits) — the feed behind
 	// ugfbench's live status line and expvar metrics.
@@ -117,9 +115,9 @@ type Config struct {
 	MaxEvents int64
 	// Exec, when non-nil, replaces runner.ExecuteContext as the batch
 	// executor — ugfbench -coord plugs the sweep service's remote executor
-	// in here. Implementations must honor the runner.Result contract
-	// (ordering, error classification, journal integration) so downstream
-	// artifacts stay byte-identical.
+	// in here. Implementations get the runner.Result contract (ordering,
+	// error classification, journal integration) from runner.Fold, so
+	// downstream artifacts stay byte-identical.
 	Exec func(ctx context.Context, specs []runner.Spec, opts runner.Options) ([]runner.Result, error)
 }
 
@@ -278,12 +276,11 @@ func execute(rep *Report, cfg Config, specs []runner.Spec) ([]runner.Result, err
 		exec = runner.ExecuteContext
 	}
 	results, err := exec(cfg.context(), specs, runner.Options{
-		Workers:  cfg.Workers,
-		Progress: cfg.Progress,
-		OnRun:    cfg.OnRun,
-		Trace:    cfg.Trace,
-		Journal:  cfg.Journal,
-		MaxWall:  cfg.MaxWall,
+		Workers: cfg.Workers,
+		OnRun:   cfg.OnRun,
+		Trace:   cfg.Trace,
+		Journal: cfg.Journal,
+		MaxWall: cfg.MaxWall,
 	})
 	if err != nil {
 		return nil, err

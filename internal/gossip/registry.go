@@ -1,135 +1,32 @@
 package gossip
 
 import (
-	"fmt"
-	"reflect"
-	"sort"
-
 	"github.com/ugf-sim/ugf/internal/params"
 	"github.com/ugf-sim/ugf/internal/sim"
 )
-
-// Entry is one registered protocol: its registry name, the configured
-// default instance (the paper's experimental parameters), and the
-// machine-readable schemas of its tunable parameters — what the sweep
-// service validates submitted specs against.
-type Entry struct {
-	// Name is the registry name ("push-pull", "ears", …).
-	Name string
-	// Protocol is the configured default instance.
-	Protocol sim.Protocol
-	// Params describes the entry's tunable parameters (exported struct
-	// fields, lowercased), with defaults and bounds.
-	Params []params.Schema
-}
 
 // ByName returns the protocol with the given registry name, configured
 // with the paper's experimental parameters. It reports false for unknown
 // names. Parameterized construction is done with Build (validated, by
 // name) or by building the struct directly.
-func ByName(name string) (sim.Protocol, bool) {
-	e, ok := registry[name]
-	if !ok {
-		return nil, false
-	}
-	return e.Protocol, true
-}
-
-// EntryByName returns the full registry entry, schemas included.
-func EntryByName(name string) (Entry, bool) {
-	e, ok := registry[name]
-	return e, ok
-}
+func ByName(name string) (sim.Protocol, bool) { return registry.ByName(name) }
 
 // Names lists the registry names in sorted order.
-func Names() []string {
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return registry.Names() }
 
 // Entries lists the registry entries in Names order.
-func Entries() []Entry {
-	names := Names()
-	out := make([]Entry, len(names))
-	for i, name := range names {
-		out[i] = registry[name]
-	}
-	return out
-}
+func Entries() []params.Entry[sim.Protocol] { return registry.Entries() }
 
 // MustByName is ByName for static names; it panics on unknown ones.
-func MustByName(name string) sim.Protocol {
-	p, ok := ByName(name)
-	if !ok {
-		panic(fmt.Sprintf("gossip: unknown protocol %q (have %v)", name, Names()))
-	}
-	return p
-}
+func MustByName(name string) sim.Protocol { return registry.MustByName(name) }
 
-// Build constructs the named protocol with the given parameter overrides
-// applied on top of the entry's configured default instance, validated
-// against the entry's schemas. Unknown names, unknown parameters, and
-// out-of-bounds or mistyped values return an error (a *params.Error for
-// parameter failures) instead of a misconfigured instance.
-func Build(name string, p map[string]float64) (sim.Protocol, error) {
-	e, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("gossip: unknown protocol %q (have %v)", name, Names())
-	}
-	if len(p) == 0 {
-		return e.Protocol, nil
-	}
-	v, err := params.Apply(e.Protocol, p, e.Params)
-	if err != nil {
-		return nil, err
-	}
-	return v.(sim.Protocol), nil
-}
+// Build constructs the named protocol with parameter overrides validated
+// against its schemas; see params.Registry.Build.
+func Build(name string, p map[string]float64) (sim.Protocol, error) { return registry.Build(name, p) }
 
-// Extract maps a concrete protocol value back to (registry name,
-// parameter overrides): the inverse of Build, used by the spec
-// canonicalizer. The name is the entry whose default instance matches the
-// value exactly, or — when parameters were tuned — the alphabetically
-// first entry of the same dynamic type; the returned map holds exactly
-// the fields that differ from that entry's default. ok is false for
-// protocols whose type is not registered (custom protocols have no spec
-// encoding and no cache identity).
+// Extract is the inverse of Build; see params.Registry.Extract.
 func Extract(p sim.Protocol) (name string, overrides map[string]float64, ok bool) {
-	if p == nil {
-		return "", nil, false
-	}
-	return extractByType(p, func(e Entry) any { return e.Protocol })
-}
-
-// extractByType implements Extract over any registry shape: names are
-// scanned in sorted order, exact instance matches win, first same-type
-// entry otherwise.
-func extractByType(v any, instance func(Entry) any) (string, map[string]float64, bool) {
-	bestName := ""
-	var bestDiff map[string]float64
-	for _, name := range Names() {
-		e := registry[name]
-		base := instance(e)
-		if reflect.TypeOf(base) != reflect.TypeOf(v) {
-			continue
-		}
-		diff := params.Diff(v, base)
-		if len(diff) == 0 {
-			return name, nil, true // exact match on the configured default
-		}
-		if bestName == "" {
-			bestName = name
-			bestDiff = diff
-		}
-	}
-	if bestName == "" {
-		return "", nil, false
-	}
-	return bestName, bestDiff, true
+	return registry.Extract(p)
 }
 
 // protoBounds constrains the parameters whose domains the protocol
@@ -143,21 +40,16 @@ var protoBounds = params.Bounds{
 	"giveupfactor": {0, 1 << 31},
 }
 
-func entry(name string, p sim.Protocol) Entry {
-	return Entry{Name: name, Protocol: p, Params: params.Describe(p, protoBounds)}
-}
-
-var registry = map[string]Entry{}
+var registry = &params.Registry[sim.Protocol]{What: "gossip: unknown protocol", Bounds: protoBounds}
 
 func init() {
+	// In Name() order: Names is documented as sorted, and its order is
+	// part of every spec fingerprint. The budget-capped family registers
+	// the α = 2 instance the Theorem 1 trade-off experiment uses.
 	for _, p := range []sim.Protocol{
-		PushPull{}, Push{}, Pull{}, EARS{}, SEARS{}, RoundRobin{},
-		Broadcast{}, Doubling{}, Adaptive{},
+		Adaptive{}, Broadcast{}, BudgetCapped{Alpha: 2}, Doubling{}, EARS{},
+		Pull{}, Push{}, PushPull{}, RoundRobin{}, SEARS{},
 	} {
-		registry[p.Name()] = entry(p.Name(), p)
+		registry.Add(p.Name(), p)
 	}
-	// The budget-capped family registers the α = 2 instance the Theorem 1
-	// trade-off experiment uses as its default.
-	bc := BudgetCapped{Alpha: 2}
-	registry[bc.Name()] = entry(bc.Name(), bc)
 }

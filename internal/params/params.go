@@ -1,11 +1,12 @@
-// Package params gives the protocol and adversary registries a typed,
-// machine-readable parameter surface. A registry entry pairs a configured
-// default instance (a plain struct such as gossip.SEARS or core.UGF) with
-// a Schema per exported field; the job API uses the schemas to validate a
-// submitted spec's parameters — rejecting unknown names, non-integral
-// values for integer fields, and out-of-bounds values with a structured
-// error instead of a 500 — and the spec canonicalizer uses Diff/Apply to
-// turn a concrete instance into its minimal parameter map and back.
+// Package params holds the one Registry behind the protocol and adversary
+// registries and gives it a typed, machine-readable parameter surface. An
+// entry pairs a configured default instance (a plain struct such as
+// gossip.SEARS or core.UGF) with a Schema per exported field; the job API
+// uses the schemas to validate a submitted spec's parameters — rejecting
+// unknown names, non-integral values for integer fields, and out-of-bounds
+// values with a structured error instead of a 500 — and the spec
+// canonicalizer uses Diff/Apply to turn a concrete instance into its
+// minimal parameter map and back.
 //
 // All parameter values travel as float64 (the JSON number type): integer
 // and Step-valued fields must hold integral values, booleans are 0 or 1.
@@ -19,6 +20,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -96,10 +98,14 @@ var unbounded = [2]float64{1, 0}
 // reflection over its exported fields: one Schema per field, named by the
 // lowercased field name, defaulting to the field's value in the instance.
 // bounds overrides the per-parameter range (absent entries are unbounded,
-// except Bool parameters, which are always [0, 1]). Describe panics on
+// except Bool parameters, which are always [0, 1]). A nil instance — the
+// adversary registry's "none" — has no parameters. Describe panics on
 // field types outside the numeric/bool encoding — registries are static,
 // so the panic fires at init, not in request handling.
 func Describe(instance any, bounds Bounds) []Schema {
+	if instance == nil {
+		return nil
+	}
 	v := reflect.ValueOf(instance)
 	if v.Kind() != reflect.Struct {
 		panic(fmt.Sprintf("params: Describe wants a struct, got %T", instance))
@@ -195,10 +201,11 @@ func Apply(base any, p map[string]float64, schemas []Schema) (any, error) {
 	sort.Strings(names)
 	for _, name := range names {
 		val := p[name]
-		schema, ok := findSchema(schemas, name)
-		if !ok {
+		i := slices.IndexFunc(schemas, func(s Schema) bool { return s.Name == name })
+		if i < 0 {
 			return nil, &Error{Param: name, Msg: fmt.Sprintf("unknown parameter (have %s)", strings.Join(Names(schemas), ", "))}
 		}
+		schema := schemas[i]
 		if math.IsNaN(val) || math.IsInf(val, 0) {
 			return nil, &Error{Param: name, Msg: fmt.Sprintf("value %v is not finite", val)}
 		}
@@ -215,12 +222,7 @@ func Apply(base any, p map[string]float64, schemas []Schema) (any, error) {
 		if schema.Bounded() && (val < schema.Min || val > schema.Max) {
 			return nil, &Error{Param: name, Msg: fmt.Sprintf("value %v outside [%v, %v]", val, schema.Min, schema.Max)}
 		}
-		field := out.FieldByNameFunc(func(f string) bool { return strings.ToLower(f) == name })
-		if !field.IsValid() {
-			// A schema exists but the field does not: registry mismatch.
-			return nil, &Error{Param: name, Msg: "schema/field mismatch in registry"}
-		}
-		setEncoded(field, val)
+		setEncoded(out.FieldByNameFunc(func(f string) bool { return strings.ToLower(f) == name }), val)
 	}
 	return out.Interface(), nil
 }
@@ -237,16 +239,6 @@ func setEncoded(field reflect.Value, val float64) {
 	case reflect.Bool:
 		field.SetBool(val != 0)
 	}
-}
-
-// findSchema looks a schema up by wire name.
-func findSchema(schemas []Schema, name string) (Schema, bool) {
-	for _, s := range schemas {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Schema{}, false
 }
 
 // Names lists the schema names in declaration order.

@@ -1,13 +1,13 @@
-package runner
+package runner_test
 
 import "testing"
 
-// FuzzJournalTornTail appends an arbitrary byte tail to a journal holding
-// two valid records and asserts the resume load neither fails nor loses
-// them — the journal's crash-tolerance contract says a torn final write
-// costs at most the line being written, never the records before it.
-// The seed corpus is the torn-tail table of journal_torn_test.go plus the
-// checked-in testdata/fuzz files.
+// FuzzJournalTornTail appends an arbitrary byte tail to a log holding two
+// valid records — once as a journal, once as a result cache — and asserts
+// the load neither fails nor loses them: the log's crash-tolerance
+// contract says a torn final write costs at most the line being written,
+// never the records before it. The seed corpus is the torn-tail table of
+// journal_torn_test.go plus the checked-in testdata/fuzz files.
 func FuzzJournalTornTail(f *testing.F) {
 	for _, tail := range tornTails() {
 		f.Add(tail)
@@ -19,7 +19,8 @@ func FuzzJournalTornTail(f *testing.F) {
 			// inputs only slow the fuzzer down.
 			t.Skip("tail too large")
 		}
-		path, o, re := writeTornJournal(t)
-		checkTornResume(t, path, tail, o, re)
+		for _, s := range tornStores() {
+			checkTornTail(t, s, tail)
+		}
 	})
 }

@@ -1,37 +1,24 @@
 package runner
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"os"
-	"sync"
 
 	"github.com/ugf-sim/ugf/internal/sim"
 	"github.com/ugf-sim/ugf/internal/spec"
 )
 
-// Journal is an append-only JSONL record of finished runs that makes a
-// batch resumable: every completed outcome (and every deterministic
-// failure) is written as one self-contained line keyed by the owning
-// spec's fingerprint and the run index. An interrupted sweep — SIGINT, a
-// crash, a power cut — loses at most the line being written; reopening the
-// journal with resume and rerunning the identical batch serves the
-// recorded runs without recomputation and produces byte-identical results,
-// because a run is a pure function of (Config, Seed) and Go's JSON float
-// encoding round-trips exactly.
-//
-// Records land in the file through a single O_APPEND write per run, so
-// concurrent workers never interleave partial lines; a torn final line
-// (crash mid-write) is skipped at load time. Entries whose fingerprint
-// does not match any current spec are ignored, so a stale journal can
-// never inject outcomes into a changed experiment.
+// Journal is the AppendLog that makes a batch resumable: every completed
+// outcome (and every deterministic failure) is one self-contained line
+// keyed by the owning spec's fingerprint and the run index. An interrupted
+// sweep — SIGINT, a crash, a power cut — loses at most the line being
+// written; reopening the journal with resume and rerunning the identical
+// batch serves the recorded runs without recomputation and produces
+// byte-identical results, because a run is a pure function of (Config,
+// Seed) and Go's JSON float encoding round-trips exactly. Entries whose
+// fingerprint does not match any current spec are ignored, so a stale
+// journal can never inject outcomes into a changed experiment.
 type Journal struct {
-	mu      sync.Mutex
-	f       *os.File
-	path    string
-	entries map[journalKey]journalRecord
-	errs    int
+	*AppendLog[journalKey, journalRecord]
 }
 
 type journalKey struct {
@@ -68,97 +55,32 @@ func Fingerprint(s Spec) string {
 // file is truncated and the batch starts from scratch. The caller owns the
 // returned journal and must Close it.
 func OpenJournal(path string, resume bool) (*Journal, error) {
-	j := &Journal{path: path, entries: map[journalKey]journalRecord{}}
-	if resume {
-		if err := j.load(); err != nil {
-			return nil, err
-		}
-	}
-	flags := os.O_CREATE | os.O_WRONLY | os.O_APPEND
-	if !resume {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	log, err := OpenLog(path, resume, func(rec journalRecord) (journalKey, bool) {
+		return journalKey{rec.Fingerprint, rec.Run}, rec.Outcome != nil || rec.Error != nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("runner: journal: %w", err)
 	}
-	j.f = f
-	return j, nil
-}
-
-func (j *Journal) load() error {
-	f, err := os.Open(j.path)
-	if os.IsNotExist(err) {
-		return nil // first run: nothing to resume from
-	}
-	if err != nil {
-		return fmt.Errorf("runner: journal: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // KeepPerProcess outcomes can be long lines
-	for sc.Scan() {
-		var rec journalRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			continue // torn line from an interrupted write; recompute that run
-		}
-		if rec.Outcome == nil && rec.Error == nil {
-			continue
-		}
-		j.entries[journalKey{rec.Fingerprint, rec.Run}] = rec
-		if rec.Error != nil {
-			j.errs++
-		}
-	}
-	return sc.Err()
+	return &Journal{log}, nil
 }
 
 // Lookup returns the recorded outcome or error of the given run, if the
 // journal holds one for this exact spec.
 func (j *Journal) Lookup(s Spec, run int) (sim.Outcome, *RunError, bool) {
-	j.mu.Lock()
-	rec, ok := j.entries[journalKey{Fingerprint(s), run}]
-	j.mu.Unlock()
-	if !ok {
-		return sim.Outcome{}, nil, false
-	}
-	if rec.Error != nil {
-		return sim.Outcome{}, rec.Error, true
+	rec, ok := j.Get(journalKey{Fingerprint(s), run})
+	if rec.Outcome == nil {
+		return sim.Outcome{}, rec.Error, ok
 	}
 	return *rec.Outcome, nil, true
 }
 
 // Record appends one finished run — an outcome or a deterministic
 // RunError — as a single atomic line. Marshal or write failures are
-// reported but deliberately non-fatal to the batch: the journal degrades
-// to recomputing that run on resume, it never takes the sweep down.
+// reported, and counted by WriteErrors, but deliberately non-fatal to the
+// batch: the journal degrades to recomputing that run on resume, it never
+// takes the sweep down.
 func (j *Journal) Record(s Spec, run int, o *sim.Outcome, re *RunError) error {
-	rec := journalRecord{Fingerprint: Fingerprint(s), Spec: s.Name, Run: run, Outcome: o, Error: re}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("runner: journal: %w", err)
-	}
-	line = append(line, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("runner: journal: record after Close")
-	}
-	if _, err := j.f.Write(line); err != nil {
-		return fmt.Errorf("runner: journal: %w", err)
-	}
-	j.entries[journalKey{rec.Fingerprint, run}] = rec
-	if re != nil {
-		j.errs++
-	}
-	return nil
-}
-
-// Len returns the number of runs the journal holds.
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.entries)
+	return j.Put(journalRecord{Fingerprint(s), s.Name, run, o, re})
 }
 
 // ErrorCount returns the number of recorded deterministic failures,
@@ -166,44 +88,11 @@ func (j *Journal) Len() int {
 func (j *Journal) ErrorCount() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.errs
-}
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Close flushes and closes the journal file. It is idempotent, so the
-// usual "defer Close, Remove on success" pattern is safe.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return nil
-	}
-	err := j.f.Close()
-	j.f = nil
-	return err
-}
-
-// Remove closes the journal and deletes its file — called after a sweep
-// completes cleanly, when there is nothing left to resume.
-//
-// The deletion goes through a rename first (the same advisory path torn-
-// tail handling takes): a concurrent -resume reader that already opened
-// the file keeps reading its complete contents through the open
-// descriptor, and a reader that races the deletion sees either the intact
-// journal or a clean not-exist — never a half-deleted file reused by an
-// unrelated journal at the same path.
-func (j *Journal) Remove() error {
-	if err := j.Close(); err != nil {
-		return err
-	}
-	tomb := j.path + ".removed"
-	if err := os.Rename(j.path, tomb); err != nil {
-		if os.IsNotExist(err) {
-			return nil // already removed; nothing to resume either way
+	n := 0
+	for _, rec := range j.entries {
+		if rec.Error != nil {
+			n++
 		}
-		return err
 	}
-	return os.Remove(tomb)
+	return n
 }

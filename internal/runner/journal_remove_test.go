@@ -2,6 +2,7 @@ package runner
 
 import (
 	"bufio"
+	"context"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -22,7 +23,7 @@ func TestJournalRemoveLeavesConcurrentReaderIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := journalSpecs(&calls)
-	if _, err := Execute(specs, 2, nil); err != nil {
+	if _, err := ExecuteContext(context.Background(), specs, Options{Workers: 2}); err != nil {
 		t.Fatal(err)
 	}
 	for si, s := range specs {

@@ -212,7 +212,7 @@ func TestTraceFactoryPerRunFiles(t *testing.T) {
 		}
 	}
 	// Tracing must not perturb outcomes.
-	plain, err := Execute(sp, 3, nil)
+	plain, err := ExecuteContext(context.Background(), sp, Options{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -110,8 +111,8 @@ func TestPanicIsolatedToOneRun(t *testing.T) {
 	}
 	var done atomic.Int64
 	serial, err := ExecuteContext(context.Background(), []Spec{spec}, Options{
-		Workers:  1,
-		Progress: func(d, total int) { done.Store(int64(d)); _ = total },
+		Workers: 1,
+		OnRun:   func(u RunUpdate) { done.Store(int64(u.Done)) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -171,13 +172,23 @@ func TestEveryRunPanicking(t *testing.T) {
 }
 
 // TestSameSeedRetryRecoversEnvironmentalFailure: a one-off panic is healed
-// by the retry; the outcome is kept and the incident lands in Flaky.
+// by the retry; the outcome is kept and the incident lands in Flaky — once,
+// in the batch that saw it: the journal records the clean outcome, so a
+// resumed batch serves the run without replaying the incident.
 func TestSameSeedRetryRecoversEnvironmentalFailure(t *testing.T) {
 	var armed atomic.Bool
 	armed.Store(true)
 	spec := Spec{Name: "flaky", Base: sim.Config{N: 8, Protocol: flakyProto{armed: &armed}}, Runs: 3, BaseSeed: 5}
-	results, err := ExecuteContext(context.Background(), []Spec{spec}, Options{Workers: 1})
+	path := filepath.Join(t.TempDir(), "runs.jsonl")
+	j, err := OpenJournal(path, false)
 	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := ExecuteContext(context.Background(), []Spec{spec}, Options{Workers: 1, Journal: j})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 	res := results[0]
@@ -191,6 +202,57 @@ func TestSameSeedRetryRecoversEnvironmentalFailure(t *testing.T) {
 		if o.N == 0 || o.HorizonHit {
 			t.Errorf("run %d missing its recovered outcome: %+v", i, o)
 		}
+	}
+
+	j, err = OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var last RunUpdate
+	resumed, err := ExecuteContext(context.Background(), []Spec{spec}, Options{Workers: 1, Journal: j,
+		OnRun: func(u RunUpdate) { last = u }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resumed[0].Flaky) != 0 || last.Flaky != 0 || last.Journaled != 3 {
+		t.Errorf("resume replayed the incident: Flaky = %+v, last update %+v", resumed[0].Flaky, last)
+	}
+	if !reflect.DeepEqual(resumed[0].Outcomes, res.Outcomes) {
+		t.Error("resume changed the outcomes")
+	}
+}
+
+// TestJournalWriteFailuresAreCounted: a journal that cannot write — here
+// its file is closed underneath it, as a full disk would fail every
+// append — never fails the batch, but keeps the first error and a count
+// for ugfbench to report instead of degrading to recomputation silently.
+func TestJournalWriteFailuresAreCounted(t *testing.T) {
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "runs.jsonl"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if n, err := j.WriteErrors(); n != 0 || err != nil {
+		t.Fatalf("fresh journal reports %d write errors (%v)", n, err)
+	}
+	if err := j.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	results, err := ExecuteContext(context.Background(), specs(), Options{Workers: 2, Journal: j})
+	if err != nil {
+		t.Fatalf("a failing journal failed the batch: %v", err)
+	}
+	for _, res := range results {
+		for i, o := range res.Outcomes {
+			if o.N == 0 {
+				t.Errorf("%s run %d: zero outcome", res.Spec.Name, i)
+			}
+		}
+	}
+	n, werr := j.WriteErrors()
+	if n != 10 || werr == nil || !strings.Contains(werr.Error(), "closed") {
+		t.Errorf("WriteErrors = %d, %v; want all 10 runs and the file's error", n, werr)
 	}
 }
 

@@ -138,19 +138,19 @@ type RunUpdate struct {
 	Err *RunError
 }
 
-// Options parameterizes ExecuteContext beyond the spec list.
+// Options parameterizes a batch beyond the spec list. OnRun and Journal
+// belong to the result contract and apply however the runs are executed;
+// Workers, Trace and MaxWall configure the local worker pool and mean
+// nothing to other dispatchers.
 type Options struct {
 	// Workers bounds run-level parallelism (≤ 0: GOMAXPROCS).
 	Workers int
-	// Progress, when non-nil, is called after each finished run (completed,
-	// failed, or served from the journal) with the number done and the
-	// total. It may be called concurrently from several workers.
-	Progress func(done, total int)
-	// OnRun, when non-nil, is called after each finished run with the run's
-	// identity and cumulative batch counters — the feed behind live
-	// progress lines, ETA estimates, and expvar metrics. Like Progress it
-	// may be called concurrently from several workers and must be fast; it
-	// runs on the worker goroutine.
+	// OnRun, when non-nil, is called after each finished run (completed,
+	// failed, or served from the journal) with the run's identity and
+	// cumulative batch counters — the feed behind live progress lines, ETA
+	// estimates, and expvar metrics. It may be called concurrently from
+	// several goroutines and must be fast; it runs on the goroutine that
+	// finished the run.
 	OnRun func(u RunUpdate)
 	// Trace, when non-nil, supplies a per-run trace sink: it is called
 	// before each computed run (never for journal-served ones) and its
@@ -170,55 +170,50 @@ type Options struct {
 	MaxWall time.Duration
 }
 
-// Execute runs every spec's repetitions across workers goroutines
-// (workers ≤ 0 means GOMAXPROCS). progress, when non-nil, is called after
-// each completed run with the number done and the total. The first
-// configuration error aborts the batch.
-func Execute(specs []Spec, workers int, progress func(done, total int)) ([]Result, error) {
-	return ExecuteContext(context.Background(), specs, Options{Workers: workers, Progress: progress})
+// Config returns the configuration of the series' run-th repetition: Base
+// with the derived seed.
+func (s Spec) Config(run int) sim.Config {
+	cfg := s.Base
+	cfg.Seed = xrand.Derive(s.BaseSeed, uint64(run))
+	return cfg
 }
 
-// ExecuteContext is Execute with cancellation, fault isolation, and
-// optional journaling.
+// Job addresses one run of a batch: repetition Run of specs[Series].
+type Job struct{ Series, Run int }
+
+// Done reports the result of jobs[i] to Fold: the run's outcome (ignored
+// beside a deterministic RunError, nil when there is none), the RunError
+// of a failed or retried attempt, and whether a result store served the
+// run without computing it. It is safe for concurrent use and must be
+// called at most once per job, with at least one of o and re set.
+type Done func(i int, o *sim.Outcome, re *RunError, served bool)
+
+// Dispatch executes the runs the journal could not serve, in any order
+// and from any goroutine, reporting each through done. A non-nil error
+// fails the whole batch.
+type Dispatch func(ctx context.Context, jobs []Job, done Done) error
+
+// Fold is the result contract of a batch, whoever computes its runs: one
+// Result per spec with Outcomes in run order, journal-recorded runs served
+// without dispatching them, every other run handed to dispatch and folded
+// back as it finishes. ExecuteContext folds over the local worker pool and
+// the sweep service over a coordinator's lease queue, so local, remote and
+// resumed sweeps render byte-identical artifacts.
 //
-// Fault tolerance semantics:
-//   - A run that panics is retried once with the same seed. If the retry
-//     completes, its outcome is kept and the incident is recorded in
-//     Result.Flaky; if it panics again, the failure is deterministic and
-//     is recorded in Result.Errors while the rest of the batch continues.
-//   - A configuration error (sim.Run returning an error) still aborts the
-//     batch: it means the spec itself is wrong, and every sibling run
-//     would fail identically. Workers short-circuit the remaining queued
-//     jobs instead of draining them at full cost.
-//   - Cancelling ctx stops the batch at the next run boundary and
-//     interrupts in-flight runs at their next engine event boundary.
-//     ExecuteContext then returns the partial results alongside ctx's
-//     error; with a Journal attached, every completed run has already been
-//     recorded, so a rerun resumes where the batch stopped.
-func ExecuteContext(ctx context.Context, specs []Spec, opts Options) ([]Result, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		// Run-level parallelism multiplies with in-run commit sharding
-		// (Spec.Base.Workers > 1): a batch of sharded runs at full
-		// GOMAXPROCS run-level fan-out would oversubscribe the machine
-		// shards-fold. Divide the default by the widest shard count so the
-		// product stays at GOMAXPROCS; an explicit opts.Workers overrides.
-		maxShards := 1
-		for i := range specs {
-			if w := specs[i].Base.Workers; w > maxShards {
-				maxShards = w
-			}
-		}
-		if maxShards > 1 {
-			if workers /= maxShards; workers < 1 {
-				workers = 1
-			}
-		}
-	}
-	type job struct {
-		spec, run int
-	}
+//   - A run with a deterministic RunError, or with no outcome at all,
+//     failed: it lands in Result.Errors, re-addressed to its series
+//     coordinates, its Outcomes slot holds the FailedOutcome placeholder,
+//     and the rest of the batch continues.
+//   - A RunError beside an outcome is an incident a same-seed retry
+//     recovered: the outcome is kept and the incident lands in Result.Flaky
+//     — unless a store served the run. Stores hold outcomes and
+//     deterministic failures only, so a served run is a clean outcome and
+//     an incident is reported once, by the batch that saw it.
+//   - An error from dispatch fails the batch, unless ctx was cancelled:
+//     then Fold returns the partial results alongside ctx's error. With a
+//     Journal attached every finished run has already been recorded, so a
+//     rerun resumes where the batch stopped.
+func Fold(ctx context.Context, specs []Spec, opts Options, dispatch Dispatch) ([]Result, error) {
 	total := 0
 	results := make([]Result, len(specs))
 	for i, s := range specs {
@@ -228,127 +223,157 @@ func ExecuteContext(ctx context.Context, specs []Spec, opts Options) ([]Result, 
 		results[i] = Result{Spec: s, Outcomes: make([]sim.Outcome, s.Runs)}
 		total += s.Runs
 	}
-
-	// Buffered so the submit loop below streams jobs without blocking on
-	// worker hand-off; workers drain at their own pace.
-	jobs := make(chan job, total)
 	var (
-		wg        sync.WaitGroup
-		done      atomic.Int64
-		failedCt  atomic.Int64
-		flakyCt   atomic.Int64
-		journaled atomic.Int64
-		firstErr  error
-		errOnce   sync.Once
-		stopped   atomic.Bool // batch failed or cancelled: drain, don't run
-		faultMu   sync.Mutex  // guards Errors/Flaky appends across workers
+		mu    sync.Mutex // guards tally and the Errors/Flaky appends
+		tally RunUpdate  // the cumulative counters of the batch
+		fps   = make([]string, len(specs))
 	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		stopped.Store(true)
-	}
-	finish := func(u RunUpdate) {
-		u.Done = int(done.Add(1))
-		u.Total = total
-		if opts.Progress != nil {
-			opts.Progress(u.Done, total)
+	// settle folds one finished run into its slot, the journal (nil for the
+	// runs the journal itself served) and the OnRun feed.
+	settle := func(j Job, o *sim.Outcome, re *RunError, served bool, journal *Journal) {
+		s, res := &specs[j.Series], &results[j.Series]
+		u := RunUpdate{Spec: s.Name, Run: j.Run, Seed: xrand.Derive(s.BaseSeed, uint64(j.Run)), Total: total, FromJournal: served}
+		failed := re != nil && (re.Deterministic || o == nil)
+		if served && !failed {
+			re = nil // a store serves outcomes and failures, not old incidents
 		}
+		if re != nil {
+			// Dispatchers may address a run their own way (the service: by
+			// spec fingerprint); results use series coordinates.
+			cp := *re
+			cp.Spec, cp.Run, cp.Seed = u.Spec, u.Run, u.Seed
+			re = &cp
+		}
+		if failed {
+			o, u.Err = nil, re
+		}
+		if journal != nil && (failed && re.Deterministic || !failed && !o.Cancelled) {
+			journal.Put(journalRecord{fps[j.Series], s.Name, j.Run, o, u.Err}) // a failed write is counted: Journal.WriteErrors
+		}
+		mu.Lock()
+		switch {
+		case failed:
+			tally.Failed++
+			res.Errors = append(res.Errors, re)
+			res.Outcomes[j.Run] = FailedOutcome(s.Config(j.Run))
+		case re != nil:
+			tally.Flaky++
+			res.Flaky = append(res.Flaky, re)
+			fallthrough
+		default:
+			res.Outcomes[j.Run] = *o
+		}
+		if served {
+			tally.Journaled++
+		}
+		tally.Done++
+		u.Done, u.Failed, u.Flaky, u.Journaled = tally.Done, tally.Failed, tally.Flaky, tally.Journaled
+		mu.Unlock()
 		if opts.OnRun != nil {
-			u.Failed = int(failedCt.Load())
-			u.Flaky = int(flakyCt.Load())
-			u.Journaled = int(journaled.Load())
 			opts.OnRun(u)
 		}
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if stopped.Load() || ctx.Err() != nil {
-					continue // short-circuit: drain the queue without running
-				}
-				spec := specs[j.spec]
-				cfg := spec.Base
-				cfg.Seed = xrand.Derive(spec.BaseSeed, uint64(j.run))
-				update := RunUpdate{Spec: spec.Name, Run: j.run, Seed: cfg.Seed}
-				if opts.Journal != nil {
-					if o, re, ok := opts.Journal.Lookup(spec, j.run); ok {
-						update.FromJournal = true
-						journaled.Add(1)
-						if re != nil {
-							failedCt.Add(1)
-							update.Err = re
-							faultMu.Lock()
-							results[j.spec].Errors = append(results[j.spec].Errors, re)
-							faultMu.Unlock()
-							results[j.spec].Outcomes[j.run] = FailedOutcome(cfg)
-						} else {
-							results[j.spec].Outcomes[j.run] = o
-						}
-						finish(update)
-						continue
-					}
-				}
-				cfg.Cancel = ctx.Done()
-				cfg.MaxWall = opts.MaxWall
-				var sinkFn func() sim.TraceSink
-				if opts.Trace != nil {
-					run := j.run
-					sinkFn = func() sim.TraceSink { return opts.Trace(spec, run) }
-				}
-				o, re, err := Attempt(cfg, spec.Name, j.run, sinkFn)
-				if err != nil {
-					fail(fmt.Errorf("runner: spec %q run %d: %w", spec.Name, j.run, err))
+
+	jobs := make([]Job, 0, total)
+	for si := range specs {
+		if opts.Journal != nil {
+			fps[si] = Fingerprint(specs[si])
+		}
+		for r := 0; r < specs[si].Runs; r++ {
+			j := Job{si, r}
+			if opts.Journal != nil {
+				// By (fingerprint, run): a series is fingerprinted once, not
+				// once per run as Lookup would.
+				if rec, ok := opts.Journal.Get(journalKey{fps[si], r}); ok {
+					settle(j, rec.Outcome, rec.Error, true, nil)
 					continue
 				}
-				if re != nil {
-					if re.Deterministic {
-						failedCt.Add(1)
-						update.Err = re
-						faultMu.Lock()
-						results[j.spec].Errors = append(results[j.spec].Errors, re)
-						faultMu.Unlock()
-						results[j.spec].Outcomes[j.run] = o
-						if opts.Journal != nil {
-							opts.Journal.Record(spec, j.run, nil, re)
-						}
-						finish(update)
-						continue
-					}
-					flakyCt.Add(1)
-					faultMu.Lock()
-					results[j.spec].Flaky = append(results[j.spec].Flaky, re)
-					faultMu.Unlock()
-				}
-				results[j.spec].Outcomes[j.run] = o
-				if opts.Journal != nil && !o.Cancelled {
-					opts.Journal.Record(spec, j.run, &o, nil)
-				}
-				finish(update)
 			}
-		}()
-	}
-	for si := range specs {
-		for r := 0; r < specs[si].Runs; r++ {
-			jobs <- job{spec: si, run: r}
+			jobs = append(jobs, j)
 		}
 	}
-	close(jobs)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	if len(jobs) > 0 {
+		err := dispatch(ctx, jobs, func(i int, o *sim.Outcome, re *RunError, served bool) {
+			settle(jobs[i], o, re, served, opts.Journal)
+		})
+		if err != nil && ctx.Err() == nil {
+			return nil, err
+		}
 	}
 	for i := range results {
 		sortByRun(results[i].Errors)
 		sortByRun(results[i].Flaky)
 	}
-	if err := ctx.Err(); err != nil {
-		// Partial results: completed runs are valid (and journaled, when a
-		// journal is attached); the rest never ran or were cancelled.
-		return results, err
-	}
-	return results, nil
+	// On cancellation the results are partial: finished runs are valid (and
+	// journaled, when a journal is attached); the rest never ran.
+	return results, ctx.Err()
+}
+
+// ExecuteContext is Fold over a pool of worker goroutines running Attempt,
+// which confines a panic to its run and classifies it by a same-seed retry.
+//   - A configuration error (sim.Run returning an error) aborts the batch:
+//     the spec itself is wrong, and every sibling run would fail
+//     identically. Workers stop taking jobs instead of draining the queue
+//     at full cost.
+//   - Cancelling ctx stops the batch at the next run boundary and
+//     interrupts in-flight runs at their next engine event boundary.
+func ExecuteContext(ctx context.Context, specs []Spec, opts Options) ([]Result, error) {
+	return Fold(ctx, specs, opts, func(ctx context.Context, jobs []Job, done Done) error {
+		workers := opts.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+			// Run-level parallelism multiplies with in-run commit sharding
+			// (Spec.Base.Workers > 1): a batch of sharded runs at full
+			// GOMAXPROCS run-level fan-out would oversubscribe the machine
+			// shards-fold. Divide the default by the widest shard count so the
+			// product stays at GOMAXPROCS; an explicit opts.Workers overrides.
+			maxShards := 1
+			for i := range specs {
+				if w := specs[i].Base.Workers; w > maxShards {
+					maxShards = w
+				}
+			}
+			if workers /= maxShards; workers < 1 {
+				workers = 1
+			}
+		}
+		var (
+			wg       sync.WaitGroup
+			next     atomic.Int64 // index of the next job to take
+			firstErr error
+			errOnce  sync.Once
+			stopped  atomic.Bool // batch failed: take no more jobs
+		)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stopped.Load() && ctx.Err() == nil {
+					i := int(next.Add(1)) - 1
+					if i >= len(jobs) {
+						return
+					}
+					spec, run := specs[jobs[i].Series], jobs[i].Run
+					cfg := spec.Config(run)
+					cfg.Cancel = ctx.Done()
+					cfg.MaxWall = opts.MaxWall
+					var sinkFn func() sim.TraceSink
+					if opts.Trace != nil {
+						sinkFn = func() sim.TraceSink { return opts.Trace(spec, run) }
+					}
+					o, re, err := Attempt(cfg, spec.Name, run, sinkFn)
+					if err != nil {
+						errOnce.Do(func() { firstErr = fmt.Errorf("runner: spec %q run %d: %w", spec.Name, run, err) })
+						stopped.Store(true)
+						return
+					}
+					done(i, &o, re, false)
+				}
+			}()
+		}
+		wg.Wait()
+		return firstErr
+	})
 }
 
 // Attempt executes one run with the pool's fault-isolation semantics,
@@ -358,8 +383,8 @@ func ExecuteContext(ctx context.Context, specs []Spec, opts Options) ([]Result, 
 //
 // A panic anywhere in the protocol/adversary/engine stack triggers one
 // same-seed retry: a run is a pure function of its Config, so a second
-// panic classifies the fault as deterministic (the returned outcome is
-// the FailedOutcome placeholder and re.Deterministic is set), while a
+// panic classifies the fault as deterministic (re.Deterministic is set
+// and there is no outcome), while a
 // completed retry means the failure was environmental — the retry's
 // outcome is returned alongside a non-deterministic re recording the
 // incident. sink, when non-nil, supplies a fresh trace sink per attempt
@@ -388,7 +413,7 @@ func Attempt(cfg sim.Config, specName string, run int, sink func() sim.TraceSink
 		if pan != nil {
 			re.Deterministic = true
 			closeSink(s)
-			return FailedOutcome(cfg), re, nil
+			return sim.Outcome{}, re, nil
 		}
 		if err != nil {
 			// The retry surfaced a configuration error; the panic record is
@@ -431,11 +456,9 @@ func runOnce(cfg sim.Config) (o sim.Outcome, err error, pan any, stack []byte) {
 	return
 }
 
-// FailedOutcome is the placeholder stored in a failed run's Outcomes
+// FailedOutcome is the placeholder Fold stores in a failed run's Outcomes
 // slot: HorizonHit is set so every cutoff-aware statistic (medians,
-// rates, fits) skips the slot without special-casing failures. Exported
-// so the sweep service synthesizes the identical placeholder for runs
-// whose cached record is a deterministic RunError.
+// rates, fits) skips the slot without special-casing failures.
 func FailedOutcome(cfg sim.Config) sim.Outcome {
 	o := sim.Outcome{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Adversary: "none", HorizonHit: true}
 	if cfg.Protocol != nil {

@@ -1,8 +1,8 @@
 package runner
 
 import (
+	"context"
 	"reflect"
-	"sync"
 	"testing"
 
 	"github.com/ugf-sim/ugf/internal/gossip"
@@ -17,7 +17,7 @@ func specs() []Spec {
 }
 
 func TestExecuteRunsEverything(t *testing.T) {
-	results, err := Execute(specs(), 4, nil)
+	results, err := ExecuteContext(context.Background(), specs(), Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +48,11 @@ func stripWall(rs []Result) []Result {
 }
 
 func TestExecuteDeterministicAcrossWorkerCounts(t *testing.T) {
-	a, err := Execute(specs(), 1, nil)
+	a, err := ExecuteContext(context.Background(), specs(), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Execute(specs(), 8, nil)
+	b, err := ExecuteContext(context.Background(), specs(), Options{Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestExecuteDeterministicAcrossWorkerCounts(t *testing.T) {
 }
 
 func TestExecuteSeedsDiffer(t *testing.T) {
-	results, err := Execute(specs()[:1], 2, nil)
+	results, err := ExecuteContext(context.Background(), specs()[:1], Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,36 +75,13 @@ func TestExecuteSeedsDiffer(t *testing.T) {
 	}
 }
 
-func TestExecuteProgress(t *testing.T) {
-	var mu sync.Mutex
-	calls := 0
-	last := 0
-	_, err := Execute(specs(), 3, func(done, total int) {
-		mu.Lock()
-		defer mu.Unlock()
-		calls++
-		if total != 10 {
-			t.Errorf("total = %d, want 10", total)
-		}
-		if done > last {
-			last = done
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 10 || last != 10 {
-		t.Errorf("progress calls = %d (last done %d), want 10", calls, last)
-	}
-}
-
 func TestExecuteConfigError(t *testing.T) {
 	bad := []Spec{{Name: "bad", Base: sim.Config{N: 0, Protocol: gossip.PushPull{}}, Runs: 2, BaseSeed: 1}}
-	if _, err := Execute(bad, 2, nil); err == nil {
+	if _, err := ExecuteContext(context.Background(), bad, Options{Workers: 2}); err == nil {
 		t.Fatal("invalid config not reported")
 	}
 	zero := []Spec{{Name: "zero", Base: sim.Config{N: 5, Protocol: gossip.PushPull{}}, Runs: 0}}
-	if _, err := Execute(zero, 2, nil); err == nil {
+	if _, err := ExecuteContext(context.Background(), zero, Options{Workers: 2}); err == nil {
 		t.Fatal("zero-run spec not rejected")
 	}
 }

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"testing"
 
 	"github.com/ugf-sim/ugf/internal/adversary"
@@ -48,7 +49,7 @@ func TestStalledRunsAreNotFailures(t *testing.T) {
 		Runs:     4,
 		BaseSeed: 7,
 	}}
-	results, err := Execute(specs, 2, nil)
+	results, err := ExecuteContext(context.Background(), specs, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,148 +1,44 @@
 package service
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
-	"sync"
+
+	"github.com/ugf-sim/ugf/internal/runner"
 )
 
 // Cache is the content-addressed result store: one immutable Record per
 // canonical spec fingerprint. A run is a pure function of its canonical
 // spec (which includes the seed), so a fingerprint's record never needs
 // invalidation — the cache is write-once per key, shared safely across
-// sweeps, processes, and machines.
+// sweeps and coordinator restarts.
 //
-// Records live in memory and, when the cache is opened with a directory,
-// one JSON file per fingerprint under it. Files are written atomically
-// (temp file + rename in the same directory), so a concurrent reader — a
-// second coordinator sharing the directory, say — sees either the
-// complete record or none. Reads fall through memory to disk lazily, so
-// reopening a cache directory costs nothing until fingerprints are
-// actually asked for.
+// It is the journal's runner.AppendLog under another key: records live in
+// memory and, when the cache is opened with a directory, in one JSONL file
+// under it — one O_APPEND line per Put, loaded when the cache opens, a
+// torn tail skipped. Records another process appends to the same file
+// become visible at the next open.
 type Cache struct {
-	mu   sync.Mutex
-	dir  string // "" = memory only
-	mem  map[string]Record
-	hits int
-	puts int
+	*runner.AppendLog[string, Record]
 }
 
 // NewCache opens a cache. dir, when non-empty, is created if needed and
-// holds one <fingerprint>.json file per record, surviving coordinator
-// restarts; "" keeps records in memory only.
+// holds the cache.jsonl log, surviving coordinator restarts; "" keeps
+// records in memory only.
 func NewCache(dir string) (*Cache, error) {
+	path := ""
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("service: cache: %w", err)
 		}
+		path = filepath.Join(dir, "cache.jsonl")
 	}
-	return &Cache{dir: dir, mem: map[string]Record{}}, nil
-}
-
-// Get returns the record cached under fp, checking memory first and the
-// cache directory second. Disk hits are promoted into memory.
-func (c *Cache) Get(fp string) (Record, bool) {
-	if !validFingerprint(fp) {
-		return Record{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if rec, ok := c.mem[fp]; ok {
-		c.hits++
-		return rec, true
-	}
-	if c.dir == "" {
-		return Record{}, false
-	}
-	data, err := os.ReadFile(c.file(fp))
+	log, err := runner.OpenLog(path, true, func(rec Record) (string, bool) {
+		return rec.Fingerprint, rec.Fingerprint != "" && (rec.Outcome != nil || rec.Err != nil)
+	})
 	if err != nil {
-		return Record{}, false
+		return nil, fmt.Errorf("service: cache: %w", err)
 	}
-	var rec Record
-	if err := json.Unmarshal(data, &rec); err != nil || rec.Fingerprint != fp {
-		// A corrupt or misfiled record is treated as a miss: the run
-		// recomputes and the record is rewritten.
-		return Record{}, false
-	}
-	c.mem[fp] = rec
-	c.hits++
-	return rec, true
-}
-
-// Put stores a record under its fingerprint. Write failures to the cache
-// directory are reported but leave the in-memory record in place: the
-// cache degrades to per-process, it never takes a sweep down.
-func (c *Cache) Put(rec Record) error {
-	if !validFingerprint(rec.Fingerprint) {
-		return fmt.Errorf("service: cache: invalid fingerprint %q", rec.Fingerprint)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.mem[rec.Fingerprint] = rec
-	c.puts++
-	if c.dir == "" {
-		return nil
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("service: cache: %w", err)
-	}
-	return atomicWriteFile(c.file(rec.Fingerprint), data)
-}
-
-// Len returns the number of records in memory (disk-resident records not
-// yet read are not counted).
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.mem)
-}
-
-// Hits returns the number of Get calls answered from the cache.
-func (c *Cache) Hits() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits
-}
-
-func (c *Cache) file(fp string) string {
-	return filepath.Join(c.dir, fp+".json")
-}
-
-// validFingerprint gates keys to the 16-hex-digit form sum64 emits: cache
-// keys become file names, so nothing path-like may pass.
-func validFingerprint(fp string) bool {
-	if len(fp) != 16 {
-		return false
-	}
-	return strings.IndexFunc(fp, func(r rune) bool {
-		return !(r >= '0' && r <= '9' || r >= 'a' && r <= 'f')
-	}) < 0
-}
-
-// atomicWriteFile writes data to path via a temp file and rename, so
-// concurrent readers never observe a partial record.
-func atomicWriteFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".cache-*")
-	if err != nil {
-		return fmt.Errorf("service: cache: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: cache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: cache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("service: cache: %w", err)
-	}
-	return nil
+	return &Cache{log}, nil
 }

@@ -383,12 +383,9 @@ func (c *Coordinator) Complete(leaseID string, res CompleteRequest) error {
 		// wall-clock-dependent, never cacheable. Requeue.
 		c.queue = append(c.queue, t)
 		c.kick()
-	case res.Outcome != nil:
+	case res.Outcome != nil || res.Err != nil && res.Err.Deterministic:
 		c.computed++
 		c.finishLocked(t, Record{Fingerprint: t.fp, Spec: t.sp, Outcome: res.Outcome, Err: res.Err}, true)
-	case res.Err != nil && res.Err.Deterministic:
-		c.computed++
-		c.finishLocked(t, Record{Fingerprint: t.fp, Spec: t.sp, Err: res.Err}, true)
 	default:
 		return fmt.Errorf("service: lease %s completed with neither outcome nor deterministic error", leaseID)
 	}
@@ -397,10 +394,16 @@ func (c *Coordinator) Complete(leaseID string, res CompleteRequest) error {
 
 // finishLocked resolves a task: optionally caches its record, removes it
 // from the in-flight table, and emits an event into every subscribed
-// sweep slot.
+// sweep slot. The cache keeps outcomes and deterministic failures only: an
+// incident a same-seed retry recovered is news for the sweeps waiting on
+// this run, not for every later submission the cache answers.
 func (c *Coordinator) finishLocked(t *task, rec Record, cache bool) {
 	if cache {
-		c.cache.Put(rec)
+		stored := rec
+		if stored.Err != nil && !stored.Err.Deterministic {
+			stored.Err = nil
+		}
+		c.cache.Put(stored) // a failed write is counted: Counters.CacheWriteErrors
 	}
 	delete(c.tasks, t.fp)
 	for _, s := range t.subs {
@@ -412,9 +415,11 @@ func (c *Coordinator) finishLocked(t *task, rec Record, cache bool) {
 func (c *Coordinator) Counters() Counters {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	writeErrs, _ := c.cache.WriteErrors()
 	return Counters{
 		Computed: c.computed, CacheHits: c.cacheHits, DedupHits: c.dedupHits,
 		Requeued: c.requeued, Queued: len(c.queue), Leased: len(c.leases),
+		CacheWriteErrors: writeErrs,
 	}
 }
 

@@ -3,12 +3,9 @@ package service
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"github.com/ugf-sim/ugf/internal/runner"
-	"github.com/ugf-sim/ugf/internal/sim"
 	"github.com/ugf-sim/ugf/internal/spec"
-	"github.com/ugf-sim/ugf/internal/xrand"
 )
 
 // SweepBackend is the executor's view of a coordinator: submit a grid,
@@ -20,166 +17,48 @@ type SweepBackend interface {
 }
 
 // ExecuteSpecs runs a batch of runner specs through a sweep backend
-// instead of the local worker pool, folding the service's result feed
-// back into the runner's exact result contract — same Outcomes order,
-// same Errors/Flaky classification, same journal and OnRun integration —
-// so everything downstream (stats, tables, CSV writers) produces
-// byte-identical artifacts whether the runs were computed locally, by
-// remote workers, or served from the content-addressed cache.
+// instead of the local worker pool: it is runner.Fold over a dispatcher
+// that turns the pending runs into canonical specs, submits them as one
+// sweep and reports the streamed events. The result contract — Outcomes
+// order, Errors/Flaky classification, journal and OnRun integration — is
+// therefore the runner's own, and everything downstream (stats, tables,
+// CSV writers) produces byte-identical artifacts whether the runs were
+// computed locally, by remote workers, or served from the result cache.
+// A cache-served run plays the journal-served role in the OnRun feed (no
+// local compute, discounted from the ETA) and is journaled like a computed
+// one, so an interrupted -coord sweep resumes locally or remotely alike.
 //
 // Requirements beyond runner.ExecuteContext: every spec's protocol and
 // adversary must be registry types (custom implementations have no spec
 // encoding to ship over the wire), and opts.Trace must be nil (traces
-// are local-only). opts.Workers and opts.MaxWall are execution-placement
-// knobs with no meaning here and are ignored. A journal still works
-// exactly as it does locally — recorded runs are served without
-// re-submitting, and every streamed result (cache-served ones included)
-// is recorded, so an interrupted -coord sweep resumes locally or
-// remotely alike.
+// are local-only). opts.Workers and opts.MaxWall configure the local pool
+// and are ignored.
 func ExecuteSpecs(ctx context.Context, be SweepBackend, specs []runner.Spec, opts runner.Options) ([]runner.Result, error) {
 	if opts.Trace != nil {
 		return nil, fmt.Errorf("service: per-run tracing is local-only; run without -coord to trace")
 	}
-	type slot struct{ si, run int }
-	total := 0
-	results := make([]runner.Result, len(specs))
-	for i, s := range specs {
-		if s.Runs <= 0 {
-			return nil, fmt.Errorf("runner: spec %q has Runs = %d", s.Name, s.Runs)
-		}
-		results[i] = runner.Result{Spec: s, Outcomes: make([]sim.Outcome, s.Runs)}
-		total += s.Runs
-	}
-
-	var (
-		done, failed, flaky, journaled int
-	)
-	finish := func(sl slot, seed uint64, fromCache bool, re *runner.RunError) {
-		done++
-		if opts.Progress != nil {
-			opts.Progress(done, total)
-		}
-		if opts.OnRun != nil {
-			opts.OnRun(runner.RunUpdate{
-				Spec: specs[sl.si].Name, Run: sl.run, Seed: seed,
-				Done: done, Total: total, Failed: failed, Flaky: flaky,
-				FromJournal: fromCache, Journaled: journaled, Err: re,
-			})
-		}
-	}
-	seedOf := func(sl slot) uint64 {
-		return xrand.Derive(specs[sl.si].BaseSeed, uint64(sl.run))
-	}
-	cfgOf := func(sl slot) sim.Config {
-		cfg := specs[sl.si].Base
-		cfg.Seed = seedOf(sl)
-		return cfg
-	}
-	// rewrite re-addresses a service RunError (which identifies the run by
-	// fingerprint) to the series coordinates the runner contract uses.
-	rewrite := func(re *runner.RunError, sl slot) *runner.RunError {
-		if re == nil {
-			return nil
-		}
-		cp := *re
-		cp.Spec = specs[sl.si].Name
-		cp.Run = sl.run
-		cp.Seed = seedOf(sl)
-		return &cp
-	}
-	fail := func(sl slot, re *runner.RunError) {
-		failed++
-		results[sl.si].Errors = append(results[sl.si].Errors, re)
-		results[sl.si].Outcomes[sl.run] = runner.FailedOutcome(cfgOf(sl))
-	}
-
-	// Journal pre-pass: recorded runs never reach the service, exactly as
-	// they never reach the local pool.
-	var (
-		grid  []spec.Spec
-		slots []slot
-	)
-	for si, s := range specs {
-		for r := 0; r < s.Runs; r++ {
-			sl := slot{si, r}
-			if opts.Journal != nil {
-				if o, re, ok := opts.Journal.Lookup(s, r); ok {
-					journaled++
-					if re != nil {
-						fail(sl, re)
-					} else {
-						results[si].Outcomes[r] = o
-					}
-					finish(sl, seedOf(sl), true, re)
-					continue
-				}
-			}
-			sp, err := spec.FromConfig(cfgOf(sl))
+	return runner.Fold(ctx, specs, opts, func(ctx context.Context, jobs []runner.Job, done runner.Done) error {
+		grid := make([]spec.Spec, len(jobs))
+		for i, j := range jobs {
+			sp, err := spec.FromConfig(specs[j.Series].Config(j.Run))
 			if err != nil {
-				return nil, fmt.Errorf("service: spec %q is not service-executable: %w", s.Name, err)
+				return fmt.Errorf("service: spec %q is not service-executable: %w", specs[j.Series].Name, err)
 			}
-			grid = append(grid, sp)
-			slots = append(slots, sl)
+			grid[i] = sp
 		}
-	}
-
-	if len(grid) > 0 {
 		resp, err := be.Submit(SweepRequest{Name: "exec", Specs: grid})
 		if err != nil {
-			return nil, fmt.Errorf("service: submit: %w", err)
+			return fmt.Errorf("service: submit: %w", err)
 		}
-		err = be.Stream(ctx, resp.ID, 0, func(ev ResultEvent) error {
-			if ev.Index < 0 || ev.Index >= len(slots) {
-				return fmt.Errorf("service: event index %d outside sweep of %d runs", ev.Index, len(slots))
+		return be.Stream(ctx, resp.ID, 0, func(ev ResultEvent) error {
+			if ev.Index < 0 || ev.Index >= len(jobs) {
+				return fmt.Errorf("service: event index %d outside sweep of %d runs", ev.Index, len(jobs))
 			}
-			sl := slots[ev.Index]
-			if ev.Cached {
-				// Cache-served runs play the journal-served role in the
-				// update feed: no local compute, discounted from the ETA.
-				journaled++
+			if ev.Outcome == nil && ev.Err == nil {
+				return fmt.Errorf("service: event %d carries neither outcome nor error", ev.Index)
 			}
-			re := rewrite(ev.Err, sl)
-			if ev.Failed() {
-				fail(sl, re)
-				if opts.Journal != nil && re.Deterministic {
-					opts.Journal.Record(specs[sl.si], sl.run, nil, re)
-				}
-			} else {
-				if re != nil {
-					flaky++
-					results[sl.si].Flaky = append(results[sl.si].Flaky, re)
-				}
-				results[sl.si].Outcomes[sl.run] = *ev.Outcome
-				if opts.Journal != nil && !ev.Outcome.Cancelled {
-					opts.Journal.Record(specs[sl.si], sl.run, ev.Outcome, nil)
-				}
-			}
-			var errField *runner.RunError
-			if ev.Failed() {
-				errField = re
-			}
-			finish(sl, seedOf(sl), ev.Cached, errField)
+			done(ev.Index, ev.Outcome, ev.Err, ev.Cached)
 			return nil
 		})
-		if err != nil {
-			if ctx.Err() != nil {
-				// Partial results, runner-style: completed runs are valid
-				// and journaled; the rest never arrived.
-				return results, ctx.Err()
-			}
-			return nil, err
-		}
-	}
-
-	for i := range results {
-		byRun := func(errs []*runner.RunError) {
-			sort.Slice(errs, func(a, b int) bool { return errs[a].Run < errs[b].Run })
-		}
-		byRun(results[i].Errors)
-		byRun(results[i].Flaky)
-	}
-	if err := ctx.Err(); err != nil {
-		return results, err
-	}
-	return results, nil
+	})
 }

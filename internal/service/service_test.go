@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -63,24 +64,73 @@ func stripWalls(results []runner.Result) []runner.Result {
 // the local pool's — outcomes, error sets, order (modulo wall times, the
 // one host-dependent field). Byte-identical downstream artifacts follow,
 // because the CSV writers are deterministic functions of these results.
+// The second input attaches a journal on both sides and then resumes both
+// from it: the two dispatchers share one fold, so results and the last
+// OnRun update must agree cold and resumed.
 func TestCoordinatorWorkersMatchSerial(t *testing.T) {
-	serial, err := runner.ExecuteContext(context.Background(), testSpecs(), runner.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coord := NewCoordinator(Options{})
-	stop := startWorkers(t, coord, 2)
-	defer stop()
-	distributed, err := ExecuteSpecs(context.Background(), coord, testSpecs(), runner.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(stripWalls(serial), stripWalls(distributed)) {
-		t.Error("distributed execution changed the results")
-	}
-	if ct := coord.Counters(); ct.Computed != 10 {
-		t.Errorf("computed %d runs, want 10", ct.Computed)
+	for _, journaled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journal=%v", journaled), func(t *testing.T) {
+			coord := NewCoordinator(Options{})
+			stop := startWorkers(t, coord, 2)
+			defer stop()
+			sides := map[string]func(runner.Options) ([]runner.Result, error){
+				"serial": func(opts runner.Options) ([]runner.Result, error) {
+					opts.Workers = 2
+					return runner.ExecuteContext(context.Background(), testSpecs(), opts)
+				},
+				"distributed": func(opts runner.Options) ([]runner.Result, error) {
+					return ExecuteSpecs(context.Background(), coord, testSpecs(), opts)
+				},
+			}
+			passes := []bool{false} // resume?
+			if journaled {
+				passes = []bool{false, true}
+			}
+			dir := t.TempDir()
+			for _, resume := range passes {
+				results := map[string][]runner.Result{}
+				last := map[string]runner.RunUpdate{}
+				for name, exec := range sides {
+					var mu sync.Mutex
+					var final runner.RunUpdate
+					opts := runner.Options{OnRun: func(u runner.RunUpdate) {
+						mu.Lock()
+						defer mu.Unlock()
+						if u.Done == u.Total {
+							final = u
+						}
+					}}
+					if journaled {
+						j, err := runner.OpenJournal(filepath.Join(dir, name+".jsonl"), resume)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer j.Close()
+						opts.Journal = j
+					}
+					res, err := exec(opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					results[name] = stripWalls(res)
+					last[name] = runner.RunUpdate{Done: final.Done, Failed: final.Failed, Flaky: final.Flaky, Journaled: final.Journaled}
+				}
+				if !reflect.DeepEqual(results["serial"], results["distributed"]) {
+					t.Errorf("resume=%v: distributed execution changed the results", resume)
+				}
+				want := runner.RunUpdate{Done: 10}
+				if resume {
+					want.Journaled = 10
+				}
+				if last["serial"] != want || last["distributed"] != want {
+					t.Errorf("resume=%v: last OnRun update serial %+v, distributed %+v, want %+v",
+						resume, last["serial"], last["distributed"], want)
+				}
+			}
+			if ct := coord.Counters(); ct.Computed != 10 {
+				t.Errorf("computed %d runs, want 10", ct.Computed)
+			}
+		})
 	}
 }
 

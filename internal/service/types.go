@@ -88,7 +88,8 @@ type ResultEvent struct {
 	Outcome *sim.Outcome `json:"outcome,omitempty"`
 	// Err records a failure. Deterministic failures carry no outcome;
 	// an environmental (flaky, recovered-by-retry) failure accompanies the
-	// retry's outcome.
+	// retry's outcome, in the events of the sweeps that waited on the run
+	// and never in a Cached one.
 	Err *runner.RunError `json:"error,omitempty"`
 	// Cached marks a result served from the content-addressed cache
 	// without recomputation.
@@ -132,9 +133,9 @@ type CompleteRequest struct {
 	ConfigError string `json:"config_error,omitempty"`
 }
 
-// Record is one cached run: the canonical spec and its outcome or
-// deterministic failure. Both are pure functions of the fingerprint, so a
-// record is immutable once written.
+// Record is one cached run — one line of the cache's log: the canonical
+// spec and its outcome or deterministic failure. Both are pure functions
+// of the fingerprint, so a record is immutable once written.
 type Record struct {
 	Fingerprint string           `json:"fp"`
 	Spec        spec.Spec        `json:"spec"`
@@ -155,4 +156,8 @@ type Counters struct {
 	// Queued and Leased are the current queue depths.
 	Queued int `json:"queued"`
 	Leased int `json:"leased"`
+	// CacheWriteErrors counts records that did not reach the cache
+	// directory: they are served from memory and recomputed after a
+	// restart.
+	CacheWriteErrors int `json:"cache_write_errors"`
 }

@@ -20,8 +20,8 @@
 # present; the topology benches are new in BENCH_4 and carry no
 # baseline columns). Time deltas across machines (or across a
 # busy machine's moods) are indicative only; allocation counts are
-# deterministic and comparable anywhere. scripts/bench_gate.sh benchmarks
-# both sides in one invocation and is the authoritative regression check.
+# deterministic and comparable anywhere. The regression check is the
+# whole-stack benchmark, paired by scripts/bench_compare.sh.
 set -eu
 
 out="${1:-BENCH_4.json}"
