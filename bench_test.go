@@ -22,15 +22,18 @@ func benchExperiment(b *testing.B, id string) {
 	if !ok {
 		b.Fatalf("experiment %q not registered", id)
 	}
+	exec := func(ctx context.Context, specs []runner.Spec) ([]runner.Result, error) {
+		return runner.ExecuteContext(ctx, specs, runner.Options{})
+	}
 	for i := 0; i < b.N; i++ {
-		rep, err := e.Run(experiments.Config{
+		reps, err := experiments.Run(context.Background(), experiments.Config{
 			Fidelity: experiments.Quick,
 			BaseSeed: uint64(i + 1),
-		})
+		}, []experiments.Experiment{e}, exec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(rep.Tables) == 0 {
+		if len(reps[0].Tables) == 0 {
 			b.Fatal("empty report")
 		}
 	}

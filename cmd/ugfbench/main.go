@@ -1,13 +1,15 @@
 // Command ugfbench regenerates the figures and tables of "The Universal
 // Gossip Fighter": one experiment per paper artifact (see DESIGN.md §3).
 // It prints text tables, ASCII charts and machine-checked shape notes, and
-// optionally writes CSV and Markdown files per experiment.
+// optionally writes CSV and Markdown files per experiment. Whatever -exp
+// selects is planned first and executed as one batch, in which a run two
+// experiments share is computed once (DESIGN.md §3).
 //
 // The harness is fault-tolerant (DESIGN.md §6): a panicking run is
 // isolated and reported instead of crashing the sweep, SIGINT stops the
-// sweep cleanly, and with -out every finished run is journaled so that
-// -resume continues an interrupted sweep without recomputation and
-// reproduces byte-identical outputs.
+// sweep cleanly, and with -out every finished run is journaled in one
+// <exp>.journal.jsonl so that -resume continues an interrupted sweep
+// without recomputation and reproduces byte-identical outputs.
 //
 // Observability (DESIGN.md §7): a live status line on stderr tracks
 // completed/failed/flaky runs with a journal-aware ETA; -stats prints the
@@ -19,8 +21,9 @@
 // Distributed sweeps (DESIGN.md §13): -serve turns the -debugaddr
 // listener into a sweep coordinator carrying a content-addressed result
 // cache and an HTTP job API; -worker joins a coordinator and executes
-// leased runs; -coord routes an ordinary experiment invocation through a
-// coordinator instead of the local pool, with byte-identical artifacts.
+// leased runs; -coord routes an ordinary invocation through a coordinator
+// instead of the local pool — one sweep for the whole batch — with
+// byte-identical artifacts.
 //
 // Examples:
 //
@@ -64,7 +67,7 @@ import (
 	simtrace "github.com/ugf-sim/ugf/internal/sim/trace"
 )
 
-// currentProgress holds the active experiment's latest progress snapshot
+// currentProgress holds the running batch's latest progress snapshot
 // for the expvar endpoint (-debugaddr): `ugfbench_progress` serves it as
 // JSON alongside the standard runtime vars.
 var currentProgress atomic.Pointer[runner.Snapshot]
@@ -141,14 +144,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	faultPlan, err := common.FaultPlan()
-	if err != nil {
-		return err
-	}
-	topo, err := common.Topology()
-	if err != nil {
-		return err
-	}
 	if *debugAddr != "" {
 		ln, err := net.Listen("tcp", *debugAddr)
 		if err != nil {
@@ -176,19 +171,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *workerURL != "" {
 		return runWorker(ctx, *workerURL, *workers)
 	}
-	if *cancelAfter > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		var done atomic.Int64
-		limit := int64(*cancelAfter)
-		cancelHook = func() {
-			if done.Add(1) == limit {
-				cancel()
-			}
-		}
-		defer func() { cancelHook = nil }()
-	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -250,63 +234,73 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 
-	var reports []*experiments.Report
-	for _, e := range selected {
-		cfg := experiments.Config{
-			Fidelity: fid, Workers: *workers, Shards: common.Shards, BaseSeed: *seed,
-			Context: ctx, MaxWall: *maxwall,
-			Faults: faultPlan, StallWindow: common.StallWindow, Topology: topo,
-			MaxEvents: common.MaxEvents,
+	label := *expID // names the progress line and the batch journal
+	prog := runner.NewProgress(nil, label)
+	if *progress {
+		prog.W = os.Stderr
+	}
+	// The per-run feed: the progress line, the expvar snapshot, and
+	// -cancelafter, which turns "N runs finished" into a cancellation —
+	// a deterministic stand-in for SIGINT.
+	onRun := func(u runner.RunUpdate) {
+		prog.OnRun(u)
+		snap := prog.Snapshot()
+		currentProgress.Store(&snap)
+		if u.Done == *cancelAfter {
+			cancel()
+		}
+	}
+	opts := runner.Options{Workers: *workers, OnRun: onRun, MaxWall: *maxwall}
+	if *traceDir != "" {
+		opts.Trace = traceFactory(*traceDir, kindMask)
+	}
+	var j *runner.Journal
+	if *outDir != "" {
+		j, err = runner.OpenJournal(filepath.Join(*outDir, label+".journal.jsonl"), *resume)
+		if err != nil {
+			return err
+		}
+		opts.Journal = j
+	}
+	exec := func(ctx context.Context, specs []runner.Spec) ([]runner.Result, error) {
+		for i := range specs {
+			if err := common.Overlay(&specs[i].Base); err != nil {
+				return nil, err
+			}
 		}
 		if *coordURL != "" {
-			client := service.NewClient(*coordURL)
-			cfg.Exec = func(ctx context.Context, specs []runner.Spec, opts runner.Options) ([]runner.Result, error) {
-				return service.ExecuteSpecs(ctx, client, specs, opts)
-			}
+			return service.ExecuteSpecs(ctx, service.NewClient(*coordURL), specs, opts)
 		}
-		prog := runner.NewProgress(nil, e.ID)
-		if *progress {
-			prog.W = os.Stderr
+		return runner.ExecuteContext(ctx, specs, opts)
+	}
+	start := time.Now()
+	reports, err := experiments.Run(ctx, experiments.Config{Fidelity: fid, BaseSeed: *seed}, selected, exec)
+	prog.Finish()
+	wall := time.Since(start)
+	if j != nil {
+		if cerr := j.Close(); cerr != nil && err == nil {
+			err = cerr
 		}
-		cfg.OnRun = onRunCallback(prog)
-		if *traceDir != "" {
-			cfg.Trace = traceFactory(*traceDir, e.ID, kindMask)
+		if n, werr := j.WriteErrors(); n > 0 {
+			fmt.Fprintf(os.Stderr, "ugfbench: %d run(s) could not be journaled: %v; -resume will recompute them\n", n, werr)
 		}
-		var j *runner.Journal
-		if *outDir != "" {
-			var err error
-			j, err = runner.OpenJournal(filepath.Join(*outDir, e.ID+".journal.jsonl"), *resume)
-			if err != nil {
-				return fmt.Errorf("experiment %s: %w", e.ID, err)
-			}
-			cfg.Journal = j
+	}
+	if err != nil {
+		if errors.Is(err, context.Canceled) && j != nil {
+			return fmt.Errorf("interrupted — %d finished run(s) are journaled in %s; rerun with -resume to continue: %w",
+				j.Len(), j.Path(), err)
 		}
-		start := time.Now()
-		rep, err := e.Run(cfg)
-		prog.Finish()
-		if j != nil {
-			if cerr := j.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-			if n, werr := j.WriteErrors(); n > 0 {
-				fmt.Fprintf(os.Stderr, "ugfbench: experiment %s: %d run(s) could not be journaled: %v; -resume will recompute them\n", e.ID, n, werr)
-			}
+		return err
+	}
+	if j != nil && j.ErrorCount() == 0 {
+		// A clean sweep no longer needs its journal; one that recorded
+		// deterministic failures keeps it as the forensic record.
+		if err := j.Remove(); err != nil {
+			return err
 		}
-		if err != nil {
-			if errors.Is(err, context.Canceled) && j != nil {
-				return fmt.Errorf("experiment %s: interrupted — %d finished run(s) are journaled in %s; rerun with -resume to continue: %w",
-					e.ID, j.Len(), j.Path(), err)
-			}
-			return fmt.Errorf("experiment %s: %w", e.ID, err)
-		}
-		if j != nil && j.ErrorCount() == 0 {
-			// A clean sweep no longer needs its journal; one that recorded
-			// deterministic failures keeps it as the forensic record.
-			if err := j.Remove(); err != nil {
-				return fmt.Errorf("experiment %s: %w", e.ID, err)
-			}
-		}
-		if err := render(out, rep, time.Since(start)); err != nil {
+	}
+	for _, rep := range reports {
+		if err := render(out, rep, wall); err != nil {
 			return err
 		}
 		if common.Stats {
@@ -319,7 +313,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 				return err
 			}
 		}
-		reports = append(reports, rep)
 	}
 	if *summary != "" {
 		if err := writeSummary(*summary, reports); err != nil {
@@ -327,25 +320,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// cancelHook, when set, is invoked once per completed run; the
-// -cancelafter flag uses it to turn "N runs finished" into a context
-// cancellation, giving tests a deterministic stand-in for SIGINT.
-var cancelHook func()
-
-// onRunCallback builds the per-run callback passed to the runner: the
-// progress line/ETA, the expvar snapshot, and the -cancelafter hook.
-func onRunCallback(prog *runner.Progress) func(runner.RunUpdate) {
-	hook := cancelHook
-	return func(u runner.RunUpdate) {
-		if hook != nil {
-			hook()
-		}
-		prog.OnRun(u)
-		snap := prog.Snapshot()
-		currentProgress.Store(&snap)
-	}
 }
 
 // newCoordinator builds the -serve coordinator, backed by a persistent
@@ -388,12 +362,14 @@ func runWorker(ctx context.Context, coordURL string, workers int) error {
 }
 
 // traceFactory builds the per-run trace-sink factory for -trace: one JSONL
-// file per run, named after the experiment, spec, and run index, filtered
-// to the -trace-kinds mask. A file that cannot be created disables tracing
-// for that run (reported on stderr) without failing it.
-func traceFactory(dir, expID string, kinds sim.KindMask) func(runner.Spec, int) sim.TraceSink {
+// file per computed run, named after the experiment, series, and run index
+// (experiments.Run names a batch's series "<experiment>/<series>"),
+// filtered to the -trace-kinds mask. A file that cannot be created
+// disables tracing for that run (reported on stderr) without failing it.
+func traceFactory(dir string, kinds sim.KindMask) func(runner.Spec, int) sim.TraceSink {
 	return func(spec runner.Spec, run int) sim.TraceSink {
-		name := fmt.Sprintf("%s_%s_run%03d.jsonl", expID, sanitizeName(spec.Name), run)
+		exp, series, _ := strings.Cut(spec.Name, "/")
+		name := fmt.Sprintf("%s_%s_run%03d.jsonl", exp, sanitizeName(series), run)
 		j, err := simtrace.Create(filepath.Join(dir, name))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "ugfbench: trace: %v\n", err)
@@ -456,15 +432,16 @@ func writeSummary(path string, reports []*experiments.Report) error {
 	})
 }
 
-// splitVerdict extracts (claim, status) from a "… claim …: REPRODUCED"
-// note; trailing commentary after the verdict stays with the claim.
-// Notes without a verdict are skipped.
+// splitVerdict extracts (claim, status) from a note whose verdict is its
+// last REPRODUCED / NOT reproduced word pair, whether it follows a colon
+// ("… claim: REPRODUCED") or ends the sentence ("… evasion REPRODUCED");
+// trailing commentary after the verdict stays with the claim. Notes
+// without a verdict are skipped.
 func splitVerdict(note string) (claim, status string, ok bool) {
 	for _, v := range []string{"NOT reproduced", "REPRODUCED"} {
-		suffix := ": " + v
-		if idx := strings.LastIndex(note, suffix); idx >= 0 {
-			claim = note[:idx]
-			if rest := strings.TrimSpace(note[idx+len(suffix):]); rest != "" {
+		if idx := strings.LastIndex(note, " "+v); idx >= 0 {
+			claim = strings.TrimSuffix(note[:idx], ":")
+			if rest := strings.TrimSpace(note[idx+1+len(v):]); rest != "" {
 				claim += " " + rest
 			}
 			return claim, v, true

@@ -88,6 +88,14 @@ func TestSplitVerdict(t *testing.T) {
 		{"paper claim — X: REPRODUCED", "paper claim — X", "REPRODUCED", true},
 		{"paper claim — Y: NOT reproduced", "paper claim — Y", "NOT reproduced", true},
 		{"designation — Z: NOT reproduced (commentary)", "designation — Z (commentary)", "NOT reproduced", true},
+		{"adaptive vs fixed Strategy 1: T 3.0 vs push-pull's 9.0 — evasion REPRODUCED",
+			"adaptive vs fixed Strategy 1: T 3.0 vs push-pull's 9.0 — evasion", "REPRODUCED", true},
+		{"ears: median T 6.0 at drop=0% → 9.0 at drop=50% — redundancy absorbs losses at a time cost REPRODUCED",
+			"ears: median T 6.0 at drop=0% → 9.0 at drop=50% — redundancy absorbs losses at a time cost", "REPRODUCED", true},
+		{"ears: median T 6.0 on the complete graph → 4.0 on the ring — sparse graphs cost time, never correctness NOT reproduced",
+			"ears: median T 6.0 on the complete graph → 4.0 on the ring — sparse graphs cost time, never correctness", "NOT reproduced", true},
+		{"ears: blocked sends 0 on the complete graph, 40 on the ring — the send gate only ever fires off-graph REPRODUCED",
+			"ears: blocked sends 0 on the complete graph, 40 on the ring — the send gate only ever fires off-graph", "REPRODUCED", true},
 		{"just a note", "", "", false},
 	}
 	for _, c := range cases {

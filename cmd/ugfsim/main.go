@@ -134,22 +134,12 @@ func run(args []string, out io.Writer) error {
 		if budget < 0 {
 			budget = int(0.3 * float64(*n))
 		}
-		plan, err := common.FaultPlan()
-		if err != nil {
-			return err
-		}
-		topo, err := common.Topology()
-		if err != nil {
-			return err
-		}
-		cfg = ugf.Config{
-			N: *n, F: budget, Protocol: proto, Adversary: adv, Seed: *seed,
-			Faults: plan, Topology: topo, StallWindow: common.StallWindow,
-			MaxEvents: common.MaxEvents,
-		}
+		cfg = ugf.Config{N: *n, F: budget, Protocol: proto, Adversary: adv, Seed: *seed}
 		seriesName = *protoName + "/" + *advName
 	}
-	cfg.Workers = common.Shards
+	if err := common.Overlay(&cfg); err != nil {
+		return err
+	}
 
 	emit := func(o ugf.Outcome) error {
 		if *asJSON {

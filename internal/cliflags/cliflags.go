@@ -56,6 +56,40 @@ func (c *Common) Validate(traceActive bool) error {
 	if c.TraceKinds != "" && !traceActive {
 		return fmt.Errorf("-trace-kinds requires -trace")
 	}
+	// Overlay parses -faults and -topology: a bad value fails here, before
+	// any run is planned.
+	return c.Overlay(&sim.Config{})
+}
+
+// Overlay applies the shared run overlays to cfg, the one place both CLIs
+// turn these flags into a configuration: -faults, -topology,
+// -stall-window and -max-events fill the fields cfg leaves unset (an
+// experiment that sweeps one of them keeps its own values), and -shards,
+// when set, fixes every run's commit shards (sim.Config.Workers).
+func (c *Common) Overlay(cfg *sim.Config) error {
+	if cfg.Faults == nil {
+		plan, err := sim.ParseFaultPlan(c.Faults)
+		if err != nil {
+			return err
+		}
+		cfg.Faults = plan
+	}
+	if cfg.Topology == nil {
+		topo, err := sim.ParseTopology(c.TopologySpec)
+		if err != nil {
+			return err
+		}
+		cfg.Topology = topo
+	}
+	if cfg.StallWindow == 0 {
+		cfg.StallWindow = c.StallWindow
+	}
+	if cfg.MaxEvents == 0 {
+		cfg.MaxEvents = c.MaxEvents
+	}
+	if c.Shards > 0 {
+		cfg.Workers = c.Shards
+	}
 	return nil
 }
 
@@ -99,17 +133,6 @@ func ValidateLiveMode(fs *flag.FlagSet) error {
 // means all kinds (mask 0).
 func (c *Common) KindMask() (sim.KindMask, error) {
 	return ParseKindMask(c.TraceKinds)
-}
-
-// FaultPlan parses the -faults value; empty input yields a nil plan.
-func (c *Common) FaultPlan() (*sim.FaultPlan, error) {
-	return sim.ParseFaultPlan(c.Faults)
-}
-
-// Topology parses the -topology value; empty input yields nil (the
-// complete graph).
-func (c *Common) Topology() (*sim.Topology, error) {
-	return sim.ParseTopology(c.TopologySpec)
 }
 
 // ParseKindMask converts a comma-separated trace-kind list into a kind

@@ -14,14 +14,14 @@ func init() {
 	register(Experiment{
 		ID:    "degradation",
 		Title: "Fault-model extension — degradation under lossy links and crash-recovery",
-		Run:   runDegradation,
+		Plan:  planDegradation,
 	})
 }
 
 // degradationDrops is the omission-rate grid of the degradation sweep.
 var degradationDrops = []float64{0, 0.1, 0.3, 0.5}
 
-// runDegradation measures how gracefully Push-Pull and EARS degrade when
+// planDegradation measures how gracefully Push-Pull and EARS degrade when
 // the network itself is faulty — per-message omission at increasing rates,
 // and a crash-recovery churn adversary — rather than under the paper's
 // delay-based adversaries. The paper's model keeps the network reliable
@@ -30,7 +30,7 @@ var degradationDrops = []float64{0, 0.1, 0.3, 0.5}
 // end-to-end exercise of the stall detector: every spec sets a stall
 // window, and a stalled run must surface as a classified outcome, never a
 // sweep failure.
-func runDegradation(cfg Config) (*Report, error) {
+func planDegradation(cfg Config) ([]runner.Spec, func([]runner.Result) (*Report, error)) {
 	rep := &Report{
 		ID:       "degradation",
 		Title:    "Degradation under omission faults and crash-recovery",
@@ -75,57 +75,54 @@ func runDegradation(cfg Config) (*Report, error) {
 			})
 		}
 	}
-	results, err := execute(rep, cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-
-	table := &plot.Table{
-		Title:   fmt.Sprintf("dissemination under network faults (N=%d, F=%d)", n, f),
-		Columns: []string{"protocol", "fault", "median T", "median M", "gathered", "stalled", "cutoff", "failed"},
-	}
-	curve := map[string][]float64{}
-	gathered := map[string][]float64{}
-	graceful := true
-	idx := 0
-	for _, proto := range protos {
-		for _, fc := range fcases {
-			res := results[idx]
-			idx++
-			mT, _, _ := medianOf(res.Outcomes, runner.Times)
-			mM, _, _ := medianOf(res.Outcomes, runner.Messages)
-			table.AddRow(proto.Name(), fc.name, mT, mM,
-				plot.FormatFloat(runner.GatheredRate(res.Outcomes)),
-				plot.FormatFloat(runner.StalledRate(res.Outcomes)),
-				plot.FormatFloat(runner.CutoffRate(res.Outcomes)),
-				res.Failed())
-			if fc.adv == nil {
-				curve[proto.Name()] = append(curve[proto.Name()], mT)
-				gathered[proto.Name()] = append(gathered[proto.Name()], runner.GatheredRate(res.Outcomes))
-			}
-			// Graceful degradation = the sweep completes every run: faults
-			// shift the complexity medians but never produce an engine error,
-			// and any starved run is classified as stalled, not failed.
-			if res.Failed() > 0 {
-				graceful = false
+	return specs, func(results []runner.Result) (*Report, error) {
+		table := &plot.Table{
+			Title:   fmt.Sprintf("dissemination under network faults (N=%d, F=%d)", n, f),
+			Columns: []string{"protocol", "fault", "median T", "median M", "gathered", "stalled", "cutoff", "failed"},
+		}
+		curve := map[string][]float64{}
+		gathered := map[string][]float64{}
+		graceful := true
+		idx := 0
+		for _, proto := range protos {
+			for _, fc := range fcases {
+				res := results[idx]
+				idx++
+				mT, _, _ := medianOf(res.Outcomes, runner.Times)
+				mM, _, _ := medianOf(res.Outcomes, runner.Messages)
+				table.AddRow(proto.Name(), fc.name, mT, mM,
+					plot.FormatFloat(runner.GatheredRate(res.Outcomes)),
+					plot.FormatFloat(runner.StalledRate(res.Outcomes)),
+					plot.FormatFloat(runner.CutoffRate(res.Outcomes)),
+					res.Failed())
+				if fc.adv == nil {
+					curve[proto.Name()] = append(curve[proto.Name()], mT)
+					gathered[proto.Name()] = append(gathered[proto.Name()], runner.GatheredRate(res.Outcomes))
+				}
+				// Graceful degradation = the sweep completes every run: faults
+				// shift the complexity medians but never produce an engine error,
+				// and any starved run is classified as stalled, not failed.
+				if res.Failed() > 0 {
+					graceful = false
+				}
 			}
 		}
-	}
-	rep.Tables = append(rep.Tables, table)
+		rep.Tables = append(rep.Tables, table)
 
-	chart := plot.Chart{
-		Title:  "median T vs omission rate",
-		XLabel: "drop probability",
-		YLabel: "time T(O)",
-		Xs:     degradationDrops,
-	}
-	for _, proto := range protos {
-		chart.Series = append(chart.Series, plot.Series{Name: proto.Name(), Ys: curve[proto.Name()]})
-	}
-	rep.Charts = append(rep.Charts, chart)
+		chart := plot.Chart{
+			Title:  "median T vs omission rate",
+			XLabel: "drop probability",
+			YLabel: "time T(O)",
+			Xs:     degradationDrops,
+		}
+		for _, proto := range protos {
+			chart.Series = append(chart.Series, plot.Series{Name: proto.Name(), Ys: curve[proto.Name()]})
+		}
+		rep.Charts = append(rep.Charts, chart)
 
-	annotateDegradation(rep, protos, curve, gathered, graceful)
-	return rep, nil
+		annotateDegradation(rep, protos, curve, gathered, graceful)
+		return rep, nil
+	}
 }
 
 // annotateDegradation records the shape findings: losses slow

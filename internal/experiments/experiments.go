@@ -1,16 +1,16 @@
 // Package experiments defines one reproducible experiment per figure and
 // table of "The Universal Gossip Fighter" (see DESIGN.md §3 for the full
-// index). Every experiment builds a batch of simulation specs, runs them
-// on the parallel runner, and emits tables, ASCII charts, and shape notes
-// (log-log exponents, per-strategy maxima, gathering rates) that can be
-// compared directly against the paper's claims.
+// index). Every experiment is a plan: the simulation specs it needs, and
+// the analysis that turns their results into tables, ASCII charts, and
+// shape notes (log-log exponents, per-strategy maxima, gathering rates)
+// that can be compared directly against the paper's claims. Run executes
+// the plans of any set of experiments as one deduplicated batch.
 package experiments
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"github.com/ugf-sim/ugf/internal/plot"
 	"github.com/ugf-sim/ugf/internal/runner"
@@ -60,72 +60,14 @@ func ParseFidelity(s string) (Fidelity, error) {
 	}
 }
 
-// Config parameterizes an experiment run.
+// Config parameterizes an experiment's plan. How the planned runs
+// execute — workers, journal, watchdog, tracing, the sweep service, the
+// CLI's overlays — is the executor's business (Run).
 type Config struct {
 	Fidelity Fidelity
-	// Workers bounds run-level parallelism (≤ 0: GOMAXPROCS).
-	Workers int
-	// Shards sets in-run commit parallelism — sim.Config.Workers — on
-	// every spec (≤ 1: every step runs on the run's own goroutine).
-	// Outcomes are bit-identical either way; sharding trades run-level for in-run parallelism, which pays
-	// off when single runs are huge (big N) rather than numerous. When
-	// Workers is defaulted, the runner divides its run-level fan-out by
-	// the shard count so the product stays at GOMAXPROCS.
-	Shards int
 	// BaseSeed makes the whole experiment deterministic; 0 means 2022
 	// (the paper's year — an arbitrary but memorable default).
 	BaseSeed uint64
-	// OnRun, when non-nil, receives the runner's rich per-run updates
-	// (identity, cumulative failure counts, journal hits) — the feed behind
-	// ugfbench's live status line and expvar metrics.
-	OnRun func(u runner.RunUpdate)
-	// Trace, when non-nil, supplies a per-run trace sink (ugfbench -trace);
-	// see runner.Options.Trace for the lifecycle contract.
-	Trace func(spec runner.Spec, run int) sim.TraceSink
-	// Context cancels the experiment cooperatively: between runs and, via
-	// the engine's event-boundary polling, inside delay-heavy runs. nil
-	// means context.Background(). On cancellation Run returns the
-	// context's error; with a Journal attached, completed runs are already
-	// recorded and a rerun resumes where the sweep stopped.
-	Context context.Context
-	// Journal, when non-nil, records every finished run and serves
-	// recorded ones without recomputation (ugfbench -resume).
-	Journal *runner.Journal
-	// MaxWall is the per-run wall-clock watchdog (0: none); runs stopped
-	// by it count as cutoffs and never enter complexity statistics.
-	MaxWall time.Duration
-	// Faults, when non-nil, overlays a link-fault plan on every spec that
-	// does not set its own (ugfbench -faults): the whole sweep runs over
-	// the same lossy network. Experiments that sweep fault rates
-	// themselves (degradation) keep their per-spec plans.
-	Faults *sim.FaultPlan
-	// StallWindow, when > 0, overlays a stall window on every spec that
-	// does not set its own (ugfbench -stall-window), so fault-heavy sweeps
-	// terminate with classified Stalled outcomes instead of spinning to
-	// the event horizon.
-	StallWindow int64
-	// Topology, when non-nil, overlays a communication graph on every spec
-	// that does not set its own (ugfbench -topology). Experiments that
-	// sweep topologies themselves keep their per-spec graphs.
-	Topology *sim.Topology
-	// MaxEvents, when > 0, overlays a hard event cutoff on every spec that
-	// does not set its own (ugfbench -max-events) — the termination bound
-	// to pair with StallWindow on sparse topologies, where neighbor
-	// traffic can keep the stall signature moving forever.
-	MaxEvents int64
-	// Exec, when non-nil, replaces runner.ExecuteContext as the batch
-	// executor — ugfbench -coord plugs the sweep service's remote executor
-	// in here. Implementations get the runner.Result contract (ordering,
-	// error classification, journal integration) from runner.Fold, so
-	// downstream artifacts stay byte-identical.
-	Exec func(ctx context.Context, specs []runner.Spec, opts runner.Options) ([]runner.Result, error)
-}
-
-func (c Config) context() context.Context {
-	if c.Context == nil {
-		return context.Background()
-	}
-	return c.Context
 }
 
 func (c Config) seed() uint64 {
@@ -187,7 +129,21 @@ func (r *Report) Notef(format string, args ...any) {
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(cfg Config) (*Report, error)
+	// Plan returns the runs the experiment needs at cfg and the analysis
+	// that turns their results, in spec order, into the report. One
+	// closure rather than a Plan/Analyse pair: the analysis walks the same
+	// grid and adversary loops the plan built, and shares them by capture
+	// instead of repeating them.
+	Plan func(cfg Config) ([]runner.Spec, func([]runner.Result) (*Report, error))
+}
+
+// unplanned adapts an experiment that computes outside the runner (a
+// Monte Carlo over the sampling law, a traced replay): it plans no runs
+// and does all its work in the analysis.
+func unplanned(run func(Config) (*Report, error)) func(Config) ([]runner.Spec, func([]runner.Result) (*Report, error)) {
+	return func(cfg Config) ([]runner.Spec, func([]runner.Result) (*Report, error)) {
+		return nil, func([]runner.Result) (*Report, error) { return run(cfg) }
+	}
 }
 
 var registry []Experiment
@@ -245,61 +201,65 @@ func ByID(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// execute runs specs on the parallel runner with the experiment's
-// cancellation, journaling, and watchdog settings, then annotates rep so
-// that failed or retried runs surface in the report instead of vanishing
-// silently — the statistics downstream use the surviving runs (failed
-// slots carry HorizonHit placeholders, which every cutoff-aware summary
-// already skips).
-func execute(rep *Report, cfg Config, specs []runner.Spec) ([]runner.Result, error) {
-	if cfg.Shards > 0 {
-		for i := range specs {
-			specs[i].Base.Workers = cfg.Shards
+// Run plans exps at cfg, executes all their runs as one batch — a
+// single call of exec, so the pool never drains between experiments and a
+// run two experiments share (runner.Fold's run key) is computed once —
+// and analyses the results into one report per experiment, in the order
+// of exps. exec is runner.ExecuteContext or service.ExecuteSpecs bound to
+// the caller's options; it may edit the specs before running them (the
+// CLI overlays). Within the batch each series is named "<experiment
+// id>/<series name>", unique across experiments, so progress updates,
+// run errors and trace files say which experiment a run belongs to.
+//
+// Failed or retried runs surface in their report's notes, ahead of the
+// shape notes, instead of vanishing silently; the statistics use the
+// surviving runs (failed slots carry HorizonHit placeholders, which every
+// cutoff-aware summary already skips). On any error, including
+// cancellation, Run returns no reports: with a journal in the executor's
+// options the finished runs are recorded and a rerun resumes.
+func Run(ctx context.Context, cfg Config, exps []Experiment, exec func(context.Context, []runner.Spec) ([]runner.Result, error)) ([]*Report, error) {
+	var batch []runner.Spec
+	sizes := make([]int, len(exps))
+	analyses := make([]func([]runner.Result) (*Report, error), len(exps))
+	for i, e := range exps {
+		specs, analyse := e.Plan(cfg)
+		for _, s := range specs {
+			s.Name = e.ID + "/" + s.Name
+			batch = append(batch, s)
 		}
+		sizes[i], analyses[i] = len(specs), analyse
 	}
-	for i := range specs {
-		if cfg.Faults != nil && specs[i].Base.Faults == nil {
-			specs[i].Base.Faults = cfg.Faults
-		}
-		if cfg.StallWindow > 0 && specs[i].Base.StallWindow == 0 {
-			specs[i].Base.StallWindow = cfg.StallWindow
-		}
-		if cfg.Topology != nil && specs[i].Base.Topology == nil {
-			specs[i].Base.Topology = cfg.Topology
-		}
-		if cfg.MaxEvents > 0 && specs[i].Base.MaxEvents == 0 {
-			specs[i].Base.MaxEvents = cfg.MaxEvents
-		}
-	}
-	exec := cfg.Exec
-	if exec == nil {
-		exec = runner.ExecuteContext
-	}
-	results, err := exec(cfg.context(), specs, runner.Options{
-		Workers: cfg.Workers,
-		OnRun:   cfg.OnRun,
-		Trace:   cfg.Trace,
-		Journal: cfg.Journal,
-		MaxWall: cfg.MaxWall,
-	})
+	results, err := exec(ctx, batch)
 	if err != nil {
 		return nil, err
 	}
-	for _, res := range results {
-		for i := range res.Outcomes {
-			rep.Engine.Merge(&res.Outcomes[i].Stats)
-			rep.EngineRuns++
+	reports := make([]*Report, len(exps))
+	for i, analyse := range analyses {
+		mine := results[:sizes[i]]
+		results = results[sizes[i]:]
+		rep, err := analyse(mine)
+		if err != nil {
+			return nil, fmt.Errorf("experiment %s: %w", exps[i].ID, err)
 		}
-		if n := len(res.Errors); n > 0 {
-			rep.Notef("PARTIAL — series %q: %d/%d runs failed and were excluded (first: %v)",
-				res.Spec.Name, n, res.Spec.Runs, res.Errors[0])
+		var notes []string
+		for _, res := range mine {
+			for j := range res.Outcomes {
+				rep.Engine.Merge(&res.Outcomes[j].Stats)
+				rep.EngineRuns++
+			}
+			if n := len(res.Errors); n > 0 {
+				notes = append(notes, fmt.Sprintf("PARTIAL — series %q: %d/%d runs failed and were excluded (first: %v)",
+					res.Spec.Name, n, res.Spec.Runs, res.Errors[0]))
+			}
+			if n := len(res.Flaky); n > 0 {
+				notes = append(notes, fmt.Sprintf("series %q: %d run(s) recovered by a same-seed retry (environmental failures)",
+					res.Spec.Name, n))
+			}
 		}
-		if n := len(res.Flaky); n > 0 {
-			rep.Notef("series %q: %d run(s) recovered by a same-seed retry (environmental failures)",
-				res.Spec.Name, n)
-		}
+		rep.Notes = append(notes, rep.Notes...)
+		reports[i] = rep
 	}
-	return results, nil
+	return reports, nil
 }
 
 // medianOf summarizes a metric over non-cutoff outcomes, returning the

@@ -15,27 +15,27 @@ func init() {
 	register(Experiment{
 		ID:    "fsweep",
 		Title: "Section V-A1 — consistency across F ∈ {0.1N … 0.5N}",
-		Run:   runFSweep,
+		Plan:  planFSweep,
 	})
 	register(Experiment{
 		ID:    "strategies",
 		Title: "Figure 3 'max UGF' designation — per-strategy impact",
-		Run:   runStrategies,
+		Plan:  planStrategies,
 	})
 	register(Experiment{
 		ID:    "oblivious",
 		Title: "Section VI — oblivious adversaries are not powerful",
-		Run:   runOblivious,
+		Plan:  planOblivious,
 	})
 	register(Experiment{
 		ID:    "adaptation",
 		Title: "Section IV-A ablation — randomization prevents adaptation",
-		Run:   runAdaptation,
+		Plan:  planAdaptation,
 	})
 	register(Experiment{
 		ID:    "omission",
 		Title: "Section VII — omission adversary extension",
-		Run:   runOmission,
+		Plan:  planOmission,
 	})
 }
 
@@ -51,10 +51,10 @@ func (c Config) midN() int {
 	return 100
 }
 
-// runFSweep reproduces the in-text claim that the takeaway is consistent
+// planFSweep reproduces the in-text claim that the takeaway is consistent
 // across F ∈ {0.1N, …, 0.5N}: the stronger the adversary (larger F), the
 // higher the forced complexities, with the same qualitative picture.
-func runFSweep(cfg Config) (*Report, error) {
+func planFSweep(cfg Config) ([]runner.Spec, func([]runner.Result) (*Report, error)) {
 	rep := &Report{
 		ID:       "fsweep",
 		Title:    "F sweep under UGF",
@@ -80,50 +80,47 @@ func runFSweep(cfg Config) (*Report, error) {
 			})
 		}
 	}
-	results, err := execute(rep, cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-
-	table := &plot.Table{
-		Title:   fmt.Sprintf("UGF impact vs F (N=%d)", n),
-		Columns: []string{"protocol", "F/N", "F", "median T", "median M", "gathered"},
-	}
-	idx := 0
-	monotone := true
-	for _, proto := range threeProtocols() {
-		var firstT, lastT float64
-		for fi, frac := range fractions {
-			f := int(frac * float64(n))
-			outs := results[idx].Outcomes
-			idx++
-			mT, _, _ := medianOf(outs, runner.Times)
-			mM, _, _ := medianOf(outs, runner.Messages)
-			table.AddRow(proto.Name(), frac, f, mT, mM, runner.GatheredRate(outs))
-			if fi == 0 {
-				firstT = mT
+	return specs, func(results []runner.Result) (*Report, error) {
+		table := &plot.Table{
+			Title:   fmt.Sprintf("UGF impact vs F (N=%d)", n),
+			Columns: []string{"protocol", "F/N", "F", "median T", "median M", "gathered"},
+		}
+		idx := 0
+		monotone := true
+		for _, proto := range threeProtocols() {
+			var firstT, lastT float64
+			for fi, frac := range fractions {
+				f := int(frac * float64(n))
+				outs := results[idx].Outcomes
+				idx++
+				mT, _, _ := medianOf(outs, runner.Times)
+				mM, _, _ := medianOf(outs, runner.Messages)
+				table.AddRow(proto.Name(), frac, f, mT, mM, runner.GatheredRate(outs))
+				if fi == 0 {
+					firstT = mT
+				}
+				if fi == len(fractions)-1 {
+					lastT = mT
+				}
 			}
-			if fi == len(fractions)-1 {
-				lastT = mT
+			// "The higher F, the stronger the adversary": judged on the time
+			// complexity endpoints. (SEARS message complexity is quadratic by
+			// construction and nearly flat in F, so messages are reported but
+			// not part of the monotonicity verdict.)
+			if lastT <= firstT {
+				monotone = false
 			}
 		}
-		// "The higher F, the stronger the adversary": judged on the time
-		// complexity endpoints. (SEARS message complexity is quadratic by
-		// construction and nearly flat in F, so messages are reported but
-		// not part of the monotonicity verdict.)
-		if lastT <= firstT {
-			monotone = false
-		}
+		rep.Tables = append(rep.Tables, table)
+		rep.Notef("paper claim — disruption grows with F (time-complexity endpoints per protocol): %s",
+			verdict(monotone))
+		return rep, nil
 	}
-	rep.Tables = append(rep.Tables, table)
-	rep.Notef("paper claim — disruption grows with F (time-complexity endpoints per protocol): %s",
-		verdict(monotone))
-	return rep, nil
 }
 
-// runStrategies measures every fixed strategy against every protocol and
+// planStrategies measures every fixed strategy against every protocol and
 // identifies the per-protocol maxima that Figure 3 labels "max UGF".
-func runStrategies(cfg Config) (*Report, error) {
+func planStrategies(cfg Config) ([]runner.Spec, func([]runner.Result) (*Report, error)) {
 	rep := &Report{
 		ID:       "strategies",
 		Title:    "Per-strategy impact breakdown",
@@ -157,61 +154,58 @@ func runStrategies(cfg Config) (*Report, error) {
 			})
 		}
 	}
-	results, err := execute(rep, cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-
-	table := &plot.Table{
-		Title:   fmt.Sprintf("strategy impact (N=%d, F=%d)", n, f),
-		Columns: []string{"protocol", "adversary", "median T", "median M", "gathered"},
-	}
-	type key struct{ proto, adv string }
-	medT := map[key]float64{}
-	medM := map[key]float64{}
-	idx := 0
-	for _, proto := range threeProtocols() {
-		for _, a := range advs {
-			outs := results[idx].Outcomes
-			idx++
-			mT, _, _ := medianOf(outs, runner.Times)
-			mM, _, _ := medianOf(outs, runner.Messages)
-			medT[key{proto.Name(), a.name}] = mT
-			medM[key{proto.Name(), a.name}] = mM
-			table.AddRow(proto.Name(), a.name, mT, mM, runner.GatheredRate(outs))
+	return specs, func(results []runner.Result) (*Report, error) {
+		table := &plot.Table{
+			Title:   fmt.Sprintf("strategy impact (N=%d, F=%d)", n, f),
+			Columns: []string{"protocol", "adversary", "median T", "median M", "gathered"},
 		}
-	}
-	rep.Tables = append(rep.Tables, table)
-
-	fixed := []string{"strategy-1", "strategy-2.1.0", "strategy-2.1.1"}
-	argmax := func(proto string, m map[key]float64) string {
-		best, bestV := "", -1.0
-		for _, a := range fixed {
-			if v := m[key{proto, a}]; v > bestV {
-				best, bestV = a, v
+		type key struct{ proto, adv string }
+		medT := map[key]float64{}
+		medM := map[key]float64{}
+		idx := 0
+		for _, proto := range threeProtocols() {
+			for _, a := range advs {
+				outs := results[idx].Outcomes
+				idx++
+				mT, _, _ := medianOf(outs, runner.Times)
+				mM, _, _ := medianOf(outs, runner.Messages)
+				medT[key{proto.Name(), a.name}] = mT
+				medM[key{proto.Name(), a.name}] = mM
+				table.AddRow(proto.Name(), a.name, mT, mM, runner.GatheredRate(outs))
 			}
 		}
-		return best
+		rep.Tables = append(rep.Tables, table)
+
+		fixed := []string{"strategy-1", "strategy-2.1.0", "strategy-2.1.1"}
+		argmax := func(proto string, m map[key]float64) string {
+			best, bestV := "", -1.0
+			for _, a := range fixed {
+				if v := m[key{proto, a}]; v > bestV {
+					best, bestV = a, v
+				}
+			}
+			return best
+		}
+		for _, proto := range threeProtocols() {
+			rep.Notef("%s: max-time strategy = %s, max-message strategy = %s",
+				proto.Name(), argmax(proto.Name(), medT), argmax(proto.Name(), medM))
+		}
+		rep.Notef("paper claim — 2.1.1 is the max-message strategy for all protocols: %s",
+			verdict(argmax("push-pull", medM) == "strategy-2.1.1" &&
+				argmax("ears", medM) == "strategy-2.1.1" &&
+				argmax("sears", medM) == "strategy-2.1.1"))
+		rep.Notef("paper claim — 2.1.0 is the max-time strategy for EARS: %s",
+			verdict(argmax("ears", medT) == "strategy-2.1.0"))
+		rep.Notef("paper designation — strategy 1 is the max-time strategy for Push-Pull: %s "+
+			"(in this reproduction 2.1.0 and 1 both force linear time; their order is sensitive to pull-response details)",
+			verdict(argmax("push-pull", medT) == "strategy-1"))
+		return rep, nil
 	}
-	for _, proto := range threeProtocols() {
-		rep.Notef("%s: max-time strategy = %s, max-message strategy = %s",
-			proto.Name(), argmax(proto.Name(), medT), argmax(proto.Name(), medM))
-	}
-	rep.Notef("paper claim — 2.1.1 is the max-message strategy for all protocols: %s",
-		verdict(argmax("push-pull", medM) == "strategy-2.1.1" &&
-			argmax("ears", medM) == "strategy-2.1.1" &&
-			argmax("sears", medM) == "strategy-2.1.1"))
-	rep.Notef("paper claim — 2.1.0 is the max-time strategy for EARS: %s",
-		verdict(argmax("ears", medT) == "strategy-2.1.0"))
-	rep.Notef("paper designation — strategy 1 is the max-time strategy for Push-Pull: %s "+
-		"(in this reproduction 2.1.0 and 1 both force linear time; their order is sensitive to pull-response details)",
-		verdict(argmax("push-pull", medT) == "strategy-1"))
-	return rep, nil
 }
 
-// runOblivious contrasts the oblivious adversary with UGF, reproducing
+// planOblivious contrasts the oblivious adversary with UGF, reproducing
 // the Section VI point (after [14]) that obliviousness is not enough.
-func runOblivious(cfg Config) (*Report, error) {
+func planOblivious(cfg Config) ([]runner.Spec, func([]runner.Result) (*Report, error)) {
 	rep := &Report{
 		ID:       "oblivious",
 		Title:    "Oblivious vs adaptive (UGF)",
@@ -243,53 +237,51 @@ func runOblivious(cfg Config) (*Report, error) {
 			})
 		}
 	}
-	results, err := execute(rep, cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	table := &plot.Table{
-		Title:   fmt.Sprintf("oblivious vs UGF (N=%d, F=%d)", n, f),
-		Columns: []string{"protocol", "adversary", "median T", "median M", "gathered"},
-	}
-	weak := true
-	idx := 0
-	for _, proto := range threeProtocols() {
-		var baseT, obT, ugfT, baseM, obM, ugfM float64
-		for _, a := range advs {
-			res := results[idx]
-			idx++
-			mT, _, _ := medianOf(res.Outcomes, runner.Times)
-			mM, _, _ := medianOf(res.Outcomes, runner.Messages)
-			table.AddRow(proto.Name(), a.name, mT, mM,
-				runner.GatheredRate(res.Outcomes))
-			switch a.name {
-			case "none":
-				baseT, baseM = mT, mM
-			case "oblivious":
-				obT, obM = mT, mM
-			case "ugf":
-				ugfT, ugfM = mT, mM
+	return specs, func(results []runner.Result) (*Report, error) {
+		table := &plot.Table{
+			Title:   fmt.Sprintf("oblivious vs UGF (N=%d, F=%d)", n, f),
+			Columns: []string{"protocol", "adversary", "median T", "median M", "gathered"},
+		}
+		weak := true
+		idx := 0
+		for _, proto := range threeProtocols() {
+			var baseT, obT, ugfT, baseM, obM, ugfM float64
+			for _, a := range advs {
+				res := results[idx]
+				idx++
+				mT, _, _ := medianOf(res.Outcomes, runner.Times)
+				mM, _, _ := medianOf(res.Outcomes, runner.Messages)
+				table.AddRow(proto.Name(), a.name, mT, mM,
+					runner.GatheredRate(res.Outcomes))
+				switch a.name {
+				case "none":
+					baseT, baseM = mT, mM
+				case "oblivious":
+					obT, obM = mT, mM
+				case "ugf":
+					ugfT, ugfM = mT, mM
+				}
+			}
+			// The oblivious adversary should sit near the baseline (within
+			// 2.5× on both complexities — its crashes do cost some
+			// re-spreading) while UGF clearly exceeds it on at least one
+			// complexity for every protocol.
+			if obT > 2.5*baseT+1 || obM > 2.5*baseM {
+				weak = false
+			}
+			if ugfT < 1.3*obT && ugfM < 1.3*obM {
+				weak = false
 			}
 		}
-		// The oblivious adversary should sit near the baseline (within
-		// 2.5× on both complexities — its crashes do cost some
-		// re-spreading) while UGF clearly exceeds it on at least one
-		// complexity for every protocol.
-		if obT > 2.5*baseT+1 || obM > 2.5*baseM {
-			weak = false
-		}
-		if ugfT < 1.3*obT && ugfM < 1.3*obM {
-			weak = false
-		}
+		rep.Tables = append(rep.Tables, table)
+		rep.Notef("paper claim — oblivious ≈ baseline while UGF ≫ oblivious: %s", verdict(weak))
+		return rep, nil
 	}
-	rep.Tables = append(rep.Tables, table)
-	rep.Notef("paper claim — oblivious ≈ baseline while UGF ≫ oblivious: %s", verdict(weak))
-	return rep, nil
 }
 
-// runAdaptation is the randomization ablation: an adaptive protocol can
+// planAdaptation is the randomization ablation: an adaptive protocol can
 // beat any single fixed strategy, but not the randomized mixture.
-func runAdaptation(cfg Config) (*Report, error) {
+func planAdaptation(cfg Config) ([]runner.Spec, func([]runner.Result) (*Report, error)) {
 	rep := &Report{
 		ID:       "adaptation",
 		Title:    "Randomization prevents adaptation (ablation)",
@@ -329,53 +321,51 @@ func runAdaptation(cfg Config) (*Report, error) {
 			})
 		}
 	}
-	results, err := execute(rep, cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	table := &plot.Table{
-		Title:   fmt.Sprintf("adaptive defender vs fixed and randomized attacks (N=%d, F=%d)", n, f),
-		Columns: []string{"protocol", "adversary", "median T", "median M", "gathered"},
-	}
-	vals := map[string]struct {
-		t, m, g float64
-	}{}
-	idx := 0
-	for _, proto := range protos {
-		for _, a := range advs {
-			outs := results[idx].Outcomes
-			idx++
-			mT, _, _ := medianOf(outs, runner.Times)
-			mM, _, _ := medianOf(outs, runner.Messages)
-			g := runner.GatheredRate(outs)
-			table.AddRow(proto.Name(), a.name, mT, mM, g)
-			vals[proto.Name()+"/"+a.name] = struct{ t, m, g float64 }{mT, mM, g}
+	return specs, func(results []runner.Result) (*Report, error) {
+		table := &plot.Table{
+			Title:   fmt.Sprintf("adaptive defender vs fixed and randomized attacks (N=%d, F=%d)", n, f),
+			Columns: []string{"protocol", "adversary", "median T", "median M", "gathered"},
 		}
-	}
-	rep.Tables = append(rep.Tables, table)
+		vals := map[string]struct {
+			t, m, g float64
+		}{}
+		idx := 0
+		for _, proto := range protos {
+			for _, a := range advs {
+				outs := results[idx].Outcomes
+				idx++
+				mT, _, _ := medianOf(outs, runner.Times)
+				mM, _, _ := medianOf(outs, runner.Messages)
+				g := runner.GatheredRate(outs)
+				table.AddRow(proto.Name(), a.name, mT, mM, g)
+				vals[proto.Name()+"/"+a.name] = struct{ t, m, g float64 }{mT, mM, g}
+			}
+		}
+		rep.Tables = append(rep.Tables, table)
 
-	// The defender evades Strategy 1 (quiet processes really are crashed:
-	// giving up early is safe and cheap) …
-	ad1 := vals["adaptive/strategy-1"]
-	pp1 := vals["push-pull/strategy-1"]
-	evades := ad1.t < 0.9*pp1.t && ad1.g >= 0.9
-	rep.Notef("adaptive vs fixed Strategy 1: T %.1f vs push-pull's %.1f, gathering %.0f%% — evasion %s",
-		ad1.t, pp1.t, ad1.g*100, verdict(evades))
-	// … but pays against the randomized mixture: under UGF the defender
-	// either fails gathering on the delay strategies (it declared live
-	// processes dead and stopped waiting for their gossips) or keeps an
-	// elevated complexity.
-	adU := vals["adaptive/ugf"]
-	pays := adU.g < 0.9 || adU.t > 3*vals["adaptive/none"].t || adU.m > 3*vals["adaptive/none"].m
-	rep.Notef("adaptive vs randomized UGF: gathering %.0f%%, T %.1f, M %.0f — adaptation defeated %s",
-		adU.g*100, adU.t, adU.m, verdict(pays))
-	rep.Notef("paper claim — randomization prevents adaptation: %s", verdict(evades && pays))
-	return rep, nil
+		// The defender evades Strategy 1 (quiet processes really are crashed:
+		// giving up early is safe and cheap) …
+		ad1 := vals["adaptive/strategy-1"]
+		pp1 := vals["push-pull/strategy-1"]
+		evades := ad1.t < 0.9*pp1.t && ad1.g >= 0.9
+		rep.Notef("adaptive vs fixed Strategy 1: T %.1f vs push-pull's %.1f, gathering %.0f%% — evasion %s",
+			ad1.t, pp1.t, ad1.g*100, verdict(evades))
+		// … but pays against the randomized mixture: under UGF the defender
+		// either fails gathering on the delay strategies (it declared live
+		// processes dead and stopped waiting for their gossips) or keeps an
+		// elevated complexity.
+		adU := vals["adaptive/ugf"]
+		pays := adU.g < 0.9 || adU.t > 3*vals["adaptive/none"].t || adU.m > 3*vals["adaptive/none"].m
+		rep.Notef("adaptive vs randomized UGF: gathering %.0f%%, T %.1f, M %.0f — adaptation defeated %s",
+			adU.g*100, adU.t, adU.m, verdict(pays))
+		rep.Notef("paper claim — randomization prevents adaptation: %s", verdict(evades && pays))
+		return rep, nil
+	}
 }
 
-// runOmission explores the Section VII future-work question: does an
+// planOmission explores the Section VII future-work question: does an
 // adversary that drops (rather than delays) messages harm more?
-func runOmission(cfg Config) (*Report, error) {
+func planOmission(cfg Config) ([]runner.Spec, func([]runner.Result) (*Report, error)) {
 	rep := &Report{
 		ID:       "omission",
 		Title:    "Omission adversary (future work)",
@@ -404,28 +394,26 @@ func runOmission(cfg Config) (*Report, error) {
 			})
 		}
 	}
-	results, err := execute(rep, cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-	table := &plot.Table{
-		Title:   fmt.Sprintf("delaying vs dropping C's messages (N=%d, F=%d, drop budget F²)", n, f),
-		Columns: []string{"protocol", "adversary", "median T", "median M", "gathered", "cutoff", "failed"},
-	}
-	idx := 0
-	for _, proto := range threeProtocols() {
-		for _, a := range advs {
-			res := results[idx]
-			idx++
-			mT, _, _ := medianOf(res.Outcomes, runner.Times)
-			mM, _, _ := medianOf(res.Outcomes, runner.Messages)
-			table.AddRow(proto.Name(), a.name, mT, mM,
-				runner.GatheredRate(res.Outcomes), runner.CutoffRate(res.Outcomes),
-				res.Failed())
+	return specs, func(results []runner.Result) (*Report, error) {
+		table := &plot.Table{
+			Title:   fmt.Sprintf("delaying vs dropping C's messages (N=%d, F=%d, drop budget F²)", n, f),
+			Columns: []string{"protocol", "adversary", "median T", "median M", "gathered", "cutoff", "failed"},
 		}
+		idx := 0
+		for _, proto := range threeProtocols() {
+			for _, a := range advs {
+				res := results[idx]
+				idx++
+				mT, _, _ := medianOf(res.Outcomes, runner.Times)
+				mM, _, _ := medianOf(res.Outcomes, runner.Messages)
+				table.AddRow(proto.Name(), a.name, mT, mM,
+					runner.GatheredRate(res.Outcomes), runner.CutoffRate(res.Outcomes),
+					res.Failed())
+			}
+		}
+		rep.Tables = append(rep.Tables, table)
+		rep.Notef("observation: with a finite drop budget the network heals and gathering completes; " +
+			"the dropped sends are pure waste, so omission inflates message complexity at no delivery-time cost to the adversary")
+		return rep, nil
 	}
-	rep.Tables = append(rep.Tables, table)
-	rep.Notef("observation: with a finite drop budget the network heals and gathering completes; " +
-		"the dropped sends are pure waste, so omission inflates message complexity at no delivery-time cost to the adversary")
-	return rep, nil
 }

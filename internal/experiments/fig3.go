@@ -74,7 +74,7 @@ func init() {
 		register(Experiment{
 			ID:    p.id,
 			Title: fmt.Sprintf("%s — %s %s", p.figure, p.protocol.Name(), p.metric.name),
-			Run:   func(cfg Config) (*Report, error) { return runFig3Panel(cfg, p) },
+			Plan:  p.plan,
 		})
 	}
 }
@@ -94,7 +94,9 @@ func fig3Series() []struct {
 	}
 }
 
-func runFig3Panel(cfg Config, panel fig3Panel) (*Report, error) {
+// plan is the panel's experiment: the three adversary series over the N
+// grid, analysed into the panel's table, chart and shape notes.
+func (panel fig3Panel) plan(cfg Config) ([]runner.Spec, func([]runner.Result) (*Report, error)) {
 	rep := &Report{
 		ID:       panel.id,
 		Title:    fmt.Sprintf("%s — %s %s", panel.figure, panel.protocol.Name(), panel.metric.name),
@@ -121,50 +123,47 @@ func runFig3Panel(cfg Config, panel fig3Panel) (*Report, error) {
 			})
 		}
 	}
-	results, err := execute(rep, cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-
-	table := &plot.Table{
-		Title:   rep.Title,
-		Columns: []string{"N", "F", "series", "median", "Q1", "Q3", "gathered", "cutoff", "failed"},
-	}
-	curve := map[string][]float64{}
-	xs := make([]float64, 0, len(grid))
-	for _, n := range grid {
-		xs = append(xs, float64(n))
-	}
-	idx := 0
-	for _, n := range grid {
-		f := int(0.3 * float64(n))
-		for _, s := range series {
-			res := results[idx]
-			idx++
-			med, q1, q3 := medianOf(res.Outcomes, panel.metric.extract)
-			table.AddRow(n, f, s.name, med, q1, q3,
-				plot.FormatFloat(runner.GatheredRate(res.Outcomes)),
-				plot.FormatFloat(runner.CutoffRate(res.Outcomes)),
-				res.Failed())
-			curve[s.name] = append(curve[s.name], med)
+	return specs, func(results []runner.Result) (*Report, error) {
+		table := &plot.Table{
+			Title:   rep.Title,
+			Columns: []string{"N", "F", "series", "median", "Q1", "Q3", "gathered", "cutoff", "failed"},
 		}
-	}
-	rep.Tables = append(rep.Tables, table)
+		curve := map[string][]float64{}
+		xs := make([]float64, 0, len(grid))
+		for _, n := range grid {
+			xs = append(xs, float64(n))
+		}
+		idx := 0
+		for _, n := range grid {
+			f := int(0.3 * float64(n))
+			for _, s := range series {
+				res := results[idx]
+				idx++
+				med, q1, q3 := medianOf(res.Outcomes, panel.metric.extract)
+				table.AddRow(n, f, s.name, med, q1, q3,
+					plot.FormatFloat(runner.GatheredRate(res.Outcomes)),
+					plot.FormatFloat(runner.CutoffRate(res.Outcomes)),
+					res.Failed())
+				curve[s.name] = append(curve[s.name], med)
+			}
+		}
+		rep.Tables = append(rep.Tables, table)
 
-	chart := plot.Chart{
-		Title:  rep.Title + " (median)",
-		XLabel: "N",
-		YLabel: panel.metric.name,
-		Xs:     xs,
-		LogY:   panel.metric.name == msgMetric.name,
-	}
-	for _, s := range series {
-		chart.Series = append(chart.Series, plot.Series{Name: s.name, Ys: curve[s.name]})
-	}
-	rep.Charts = append(rep.Charts, chart)
+		chart := plot.Chart{
+			Title:  rep.Title + " (median)",
+			XLabel: "N",
+			YLabel: panel.metric.name,
+			Xs:     xs,
+			LogY:   panel.metric.name == msgMetric.name,
+		}
+		for _, s := range series {
+			chart.Series = append(chart.Series, plot.Series{Name: s.name, Ys: curve[s.name]})
+		}
+		rep.Charts = append(rep.Charts, chart)
 
-	annotateFig3Shape(rep, panel, xs, curve)
-	return rep, nil
+		annotateFig3Shape(rep, panel, xs, curve)
+		return rep, nil
+	}
 }
 
 // annotateFig3Shape records the log-log growth exponent of every series

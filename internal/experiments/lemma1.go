@@ -15,7 +15,7 @@ func init() {
 	register(Experiment{
 		ID:    "lemma1",
 		Title: "Lemmas 1–3 — strategy indistinguishability during [1, τᵏ]",
-		Run:   runLemma1,
+		Plan:  unplanned(runLemma1),
 	})
 }
 

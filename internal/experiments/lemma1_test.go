@@ -3,10 +3,7 @@ package experiments
 import "testing"
 
 func TestLemma1Quick(t *testing.T) {
-	rep, err := mustExp(t, "lemma1").Run(quickCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := quickReport(t, "lemma1")
 	for _, n := range rep.Notes {
 		t.Log(n)
 	}

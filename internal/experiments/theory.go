@@ -17,23 +17,23 @@ func init() {
 	register(Experiment{
 		ID:    "example1",
 		Title: "Example 1 — round-robin protocol has M = Θ(N²), T = Θ(N)",
-		Run:   runExample1,
+		Plan:  planExample1,
 	})
 	register(Experiment{
 		ID:    "lemma45",
 		Title: "Lemmas 4 & 5 — sampling-probability lower bounds",
-		Run:   runLemma45,
+		Plan:  unplanned(runLemma45),
 	})
 	register(Experiment{
 		ID:    "tradeoff",
 		Title: "Theorem 1 — time/message trade-off under UGF (α sweep)",
-		Run:   runTradeoff,
+		Plan:  planTradeoff,
 	})
 }
 
-// runExample1 measures the deliberately inefficient protocol of Example 1
+// planExample1 measures the deliberately inefficient protocol of Example 1
 // and verifies its stated complexities by log-log fit.
-func runExample1(cfg Config) (*Report, error) {
+func planExample1(cfg Config) ([]runner.Spec, func([]runner.Result) (*Report, error)) {
 	rep := &Report{
 		ID:       "example1",
 		Title:    "Example 1 — round-robin complexities",
@@ -50,30 +50,28 @@ func runExample1(cfg Config) (*Report, error) {
 			BaseSeed: cfg.seed(),
 		})
 	}
-	results, err := execute(rep, cfg, specs)
-	if err != nil {
-		return nil, err
+	return specs, func(results []runner.Result) (*Report, error) {
+		table := &plot.Table{
+			Title:   rep.Title,
+			Columns: []string{"N", "M(O)", "T(O)", "gathered"},
+		}
+		var xs, ms, ts []float64
+		for i, n := range grid {
+			o := results[i].Outcomes[0]
+			table.AddRow(n, o.Messages, o.Time, fmt.Sprintf("%v", o.Gathered))
+			xs = append(xs, float64(n))
+			ms = append(ms, float64(o.Messages))
+			ts = append(ts, o.Time)
+		}
+		rep.Tables = append(rep.Tables, table)
+		mFit := stats.LogLogFit(xs, ms)
+		tFit := stats.LogLogFit(xs, ts)
+		rep.Notef("M(N) exponent: %.3f (R²=%.3f) — expect ≈ 2", mFit.Slope, mFit.R2)
+		rep.Notef("T(N) exponent: %.3f (R²=%.3f) — expect ≈ 1", tFit.Slope, tFit.R2)
+		rep.Notef("paper claim — M quadratic and T linear: %s",
+			verdict(math.Abs(mFit.Slope-2) < 0.15 && math.Abs(tFit.Slope-1) < 0.15))
+		return rep, nil
 	}
-	table := &plot.Table{
-		Title:   rep.Title,
-		Columns: []string{"N", "M(O)", "T(O)", "gathered"},
-	}
-	var xs, ms, ts []float64
-	for i, n := range grid {
-		o := results[i].Outcomes[0]
-		table.AddRow(n, o.Messages, o.Time, fmt.Sprintf("%v", o.Gathered))
-		xs = append(xs, float64(n))
-		ms = append(ms, float64(o.Messages))
-		ts = append(ts, o.Time)
-	}
-	rep.Tables = append(rep.Tables, table)
-	mFit := stats.LogLogFit(xs, ms)
-	tFit := stats.LogLogFit(xs, ts)
-	rep.Notef("M(N) exponent: %.3f (R²=%.3f) — expect ≈ 2", mFit.Slope, mFit.R2)
-	rep.Notef("T(N) exponent: %.3f (R²=%.3f) — expect ≈ 1", tFit.Slope, tFit.R2)
-	rep.Notef("paper claim — M quadratic and T linear: %s",
-		verdict(math.Abs(mFit.Slope-2) < 0.15 && math.Abs(tFit.Slope-1) < 0.15))
-	return rep, nil
 }
 
 // runLemma45 Monte-Carlos Algorithm 1's randomization scheme and checks
@@ -158,10 +156,10 @@ func pow(tau sim.Step, e int) sim.Step {
 	return v
 }
 
-// runTradeoff sweeps the α knob of the budget-capped protocol family and
+// planTradeoff sweeps the α knob of the budget-capped protocol family and
 // exhibits the Theorem 1 interplay: shrinking message complexity α times
 // below quadratic costs time (or rumor gathering) under UGF.
-func runTradeoff(cfg Config) (*Report, error) {
+func planTradeoff(cfg Config) ([]runner.Spec, func([]runner.Result) (*Report, error)) {
 	rep := &Report{
 		ID:    "tradeoff",
 		Title: "Theorem 1 — α trade-off under UGF",
@@ -191,35 +189,32 @@ func runTradeoff(cfg Config) (*Report, error) {
 			BaseSeed: cfg.seed(),
 		})
 	}
-	results, err := execute(rep, cfg, specs)
-	if err != nil {
-		return nil, err
+	return specs, func(results []runner.Result) (*Report, error) {
+		table := &plot.Table{
+			Title:   rep.Title + fmt.Sprintf(" (N=%d, F=%d)", n, f),
+			Columns: []string{"alpha", "budget/process", "median M", "M/N²", "median T", "gathered"},
+		}
+		var gathered []float64
+		var medM []float64
+		for i, alpha := range alphas {
+			outs := results[i].Outcomes
+			mM, _, _ := medianOf(outs, runner.Messages)
+			mT, _, _ := medianOf(outs, runner.Times)
+			g := runner.GatheredRate(outs)
+			gathered = append(gathered, g)
+			medM = append(medM, mM)
+			table.AddRow(alpha, gossip.BudgetCapped{Alpha: alpha}.Budget(n),
+				mM, mM/float64(n*n), mT, g)
+		}
+		rep.Tables = append(rep.Tables, table)
+		// The measurable projection of the theorem at fixed N: message volume
+		// shrinks with α while the dissemination degrades — under UGF the
+		// capped protocol increasingly fails rumor gathering (the T = Ω(αF)
+		// branch is unobservable once the protocol gives up, so failure rate
+		// is the honest signal).
+		rep.Notef("paper claim — M decreases with α while dissemination degrades "+
+			"(gathering rate drops): %s",
+			verdict(medM[len(medM)-1] < medM[0] && gathered[len(gathered)-1] < gathered[0]))
+		return rep, nil
 	}
-
-	table := &plot.Table{
-		Title:   rep.Title + fmt.Sprintf(" (N=%d, F=%d)", n, f),
-		Columns: []string{"alpha", "budget/process", "median M", "M/N²", "median T", "gathered"},
-	}
-	var gathered []float64
-	var medM []float64
-	for i, alpha := range alphas {
-		outs := results[i].Outcomes
-		mM, _, _ := medianOf(outs, runner.Messages)
-		mT, _, _ := medianOf(outs, runner.Times)
-		g := runner.GatheredRate(outs)
-		gathered = append(gathered, g)
-		medM = append(medM, mM)
-		table.AddRow(alpha, gossip.BudgetCapped{Alpha: alpha}.Budget(n),
-			mM, mM/float64(n*n), mT, g)
-	}
-	rep.Tables = append(rep.Tables, table)
-	// The measurable projection of the theorem at fixed N: message volume
-	// shrinks with α while the dissemination degrades — under UGF the
-	// capped protocol increasingly fails rumor gathering (the T = Ω(αF)
-	// branch is unobservable once the protocol gives up, so failure rate
-	// is the honest signal).
-	rep.Notef("paper claim — M decreases with α while dissemination degrades "+
-		"(gathering rate drops): %s",
-		verdict(medM[len(medM)-1] < medM[0] && gathered[len(gathered)-1] < gathered[0]))
-	return rep, nil
 }

@@ -13,11 +13,11 @@ func init() {
 	register(Experiment{
 		ID:    "topology",
 		Title: "Topology extension — dissemination on sparse communication graphs",
-		Run:   runTopology,
+		Plan:  planTopology,
 	})
 }
 
-// runTopology measures how Push-Pull and EARS degrade when the complete
+// planTopology measures how Push-Pull and EARS degrade when the complete
 // communication graph of the paper's model is replaced by sparse
 // topologies: a ring (degree 2, diameter N/2), a circulant k-regular
 // graph, and a seeded expander of the same degree. The protocols still
@@ -32,7 +32,7 @@ func init() {
 // cutoff — on a sparse graph a protocol can starve with neighbor
 // traffic still flowing, and a starved run must classify as Stalled or
 // a cutoff, never hang the sweep.
-func runTopology(cfg Config) (*Report, error) {
+func planTopology(cfg Config) ([]runner.Spec, func([]runner.Result) (*Report, error)) {
 	rep := &Report{
 		ID:       "topology",
 		Title:    "Dissemination on sparse communication graphs",
@@ -76,64 +76,61 @@ func runTopology(cfg Config) (*Report, error) {
 			})
 		}
 	}
-	results, err := execute(rep, cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-
-	blockedMetric := func(outs []sim.Outcome) []float64 {
-		xs := make([]float64, len(outs))
-		for i := range outs {
-			xs[i] = float64(outs[i].Stats.BlockedSends)
+	return specs, func(results []runner.Result) (*Report, error) {
+		blockedMetric := func(outs []sim.Outcome) []float64 {
+			xs := make([]float64, len(outs))
+			for i := range outs {
+				xs[i] = float64(outs[i].Stats.BlockedSends)
+			}
+			return xs
 		}
-		return xs
-	}
 
-	table := &plot.Table{
-		Title:   fmt.Sprintf("dissemination by communication graph (N=%d, F=%d)", n, f),
-		Columns: []string{"protocol", "topology", "median T", "median M", "median blocked", "gathered", "stalled", "cutoff", "failed"},
-	}
-	curve := map[string][]float64{}
-	blocked := map[string]map[string]float64{}
-	graceful := true
-	idx := 0
-	for _, proto := range protos {
-		blocked[proto.Name()] = map[string]float64{}
-		for _, tc := range tcases {
-			res := results[idx]
-			idx++
-			mT, _, _ := medianOf(res.Outcomes, runner.Times)
-			mM, _, _ := medianOf(res.Outcomes, runner.Messages)
-			mB, _, _ := medianOf(res.Outcomes, blockedMetric)
-			table.AddRow(proto.Name(), tc.name, mT, mM, mB,
-				plot.FormatFloat(runner.GatheredRate(res.Outcomes)),
-				plot.FormatFloat(runner.StalledRate(res.Outcomes)),
-				plot.FormatFloat(runner.CutoffRate(res.Outcomes)),
-				res.Failed())
-			curve[proto.Name()] = append(curve[proto.Name()], mT)
-			blocked[proto.Name()][tc.name] = mB
-			if res.Failed() > 0 {
-				graceful = false
+		table := &plot.Table{
+			Title:   fmt.Sprintf("dissemination by communication graph (N=%d, F=%d)", n, f),
+			Columns: []string{"protocol", "topology", "median T", "median M", "median blocked", "gathered", "stalled", "cutoff", "failed"},
+		}
+		curve := map[string][]float64{}
+		blocked := map[string]map[string]float64{}
+		graceful := true
+		idx := 0
+		for _, proto := range protos {
+			blocked[proto.Name()] = map[string]float64{}
+			for _, tc := range tcases {
+				res := results[idx]
+				idx++
+				mT, _, _ := medianOf(res.Outcomes, runner.Times)
+				mM, _, _ := medianOf(res.Outcomes, runner.Messages)
+				mB, _, _ := medianOf(res.Outcomes, blockedMetric)
+				table.AddRow(proto.Name(), tc.name, mT, mM, mB,
+					plot.FormatFloat(runner.GatheredRate(res.Outcomes)),
+					plot.FormatFloat(runner.StalledRate(res.Outcomes)),
+					plot.FormatFloat(runner.CutoffRate(res.Outcomes)),
+					res.Failed())
+				curve[proto.Name()] = append(curve[proto.Name()], mT)
+				blocked[proto.Name()][tc.name] = mB
+				if res.Failed() > 0 {
+					graceful = false
+				}
 			}
 		}
-	}
-	rep.Tables = append(rep.Tables, table)
+		rep.Tables = append(rep.Tables, table)
 
-	chart := plot.Chart{
-		Title:  "median T vs graph degree",
-		XLabel: "edges per process",
-		YLabel: "time T(O)",
-	}
-	for _, tc := range tcases {
-		chart.Xs = append(chart.Xs, tc.degree)
-	}
-	for _, proto := range protos {
-		chart.Series = append(chart.Series, plot.Series{Name: proto.Name(), Ys: curve[proto.Name()]})
-	}
-	rep.Charts = append(rep.Charts, chart)
+		chart := plot.Chart{
+			Title:  "median T vs graph degree",
+			XLabel: "edges per process",
+			YLabel: "time T(O)",
+		}
+		for _, tc := range tcases {
+			chart.Xs = append(chart.Xs, tc.degree)
+		}
+		for _, proto := range protos {
+			chart.Series = append(chart.Series, plot.Series{Name: proto.Name(), Ys: curve[proto.Name()]})
+		}
+		rep.Charts = append(rep.Charts, chart)
 
-	annotateTopology(rep, protos, tcases[0].name, curve, blocked, graceful)
-	return rep, nil
+		annotateTopology(rep, protos, tcases[0].name, curve, blocked, graceful)
+		return rep, nil
+	}
 }
 
 // annotateTopology records the shape findings: sparser graphs slow

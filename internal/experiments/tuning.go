@@ -13,16 +13,16 @@ func init() {
 	register(Experiment{
 		ID:    "tuning",
 		Title: "Section III-B — tuning q₁, q₂ with prior knowledge",
-		Run:   runTuning,
+		Plan:  planTuning,
 	})
 }
 
-// runTuning quantifies the paper's remark that q₁ and q₂ "may be tuned …
+// planTuning quantifies the paper's remark that q₁ and q₂ "may be tuned …
 // if there is prior knowledge about the gossip protocol to attack": a UGF
 // biased toward the strategy that hurts a known protocol most beats the
 // knowledge-free uniform mixture on that protocol — while the uniform
 // mixture is the safe choice across all protocols.
-func runTuning(cfg Config) (*Report, error) {
+func planTuning(cfg Config) ([]runner.Spec, func([]runner.Result) (*Report, error)) {
 	rep := &Report{
 		ID:    "tuning",
 		Title: "Tuned vs uniform UGF",
@@ -60,38 +60,35 @@ func runTuning(cfg Config) (*Report, error) {
 			})
 		}
 	}
-	results, err := execute(rep, cfg, specs)
-	if err != nil {
-		return nil, err
-	}
-
-	table := &plot.Table{
-		Title:   fmt.Sprintf("prior knowledge pays (N=%d, F=%d)", n, f),
-		Columns: []string{"protocol", "attack", "median T", "median M"},
-	}
-	type cell struct{ t, m float64 }
-	vals := map[string]cell{}
-	idx := 0
-	for _, proto := range protos {
-		for _, a := range attacks {
-			outs := results[idx].Outcomes
-			idx++
-			mT, _, _ := medianOf(outs, runner.Times)
-			mM, _, _ := medianOf(outs, runner.Messages)
-			vals[proto.Name()+"/"+a.name] = cell{mT, mM}
-			table.AddRow(proto.Name(), a.name, mT, mM)
+	return specs, func(results []runner.Result) (*Report, error) {
+		table := &plot.Table{
+			Title:   fmt.Sprintf("prior knowledge pays (N=%d, F=%d)", n, f),
+			Columns: []string{"protocol", "attack", "median T", "median M"},
 		}
-	}
-	rep.Tables = append(rep.Tables, table)
+		type cell struct{ t, m float64 }
+		vals := map[string]cell{}
+		idx := 0
+		for _, proto := range protos {
+			for _, a := range attacks {
+				outs := results[idx].Outcomes
+				idx++
+				mT, _, _ := medianOf(outs, runner.Times)
+				mM, _, _ := medianOf(outs, runner.Messages)
+				vals[proto.Name()+"/"+a.name] = cell{mT, mM}
+				table.AddRow(proto.Name(), a.name, mT, mM)
+			}
+		}
+		rep.Tables = append(rep.Tables, table)
 
-	// EARS is the protocol where the split is clearest: 2.k.0 maximizes
-	// its time, 2.k.l its messages (the `strategies` experiment).
-	uni := vals["ears/"+attacks[0].name]
-	timeTuned := vals["ears/"+attacks[1].name]
-	msgTuned := vals["ears/"+attacks[2].name]
-	rep.Notef("EARS median T: uniform %.1f vs time-tuned %.1f; median M: uniform %.0f vs message-tuned %.0f",
-		uni.t, timeTuned.t, uni.m, msgTuned.m)
-	rep.Notef("paper claim — tuned UGF beats the uniform mixture on its target metric: %s",
-		verdict(timeTuned.t > uni.t && msgTuned.m > uni.m))
-	return rep, nil
+		// EARS is the protocol where the split is clearest: 2.k.0 maximizes
+		// its time, 2.k.l its messages (the `strategies` experiment).
+		uni := vals["ears/"+attacks[0].name]
+		timeTuned := vals["ears/"+attacks[1].name]
+		msgTuned := vals["ears/"+attacks[2].name]
+		rep.Notef("EARS median T: uniform %.1f vs time-tuned %.1f; median M: uniform %.0f vs message-tuned %.0f",
+			uni.t, timeTuned.t, uni.m, msgTuned.m)
+		rep.Notef("paper claim — tuned UGF beats the uniform mixture on its target metric: %s",
+			verdict(timeTuned.t > uni.t && msgTuned.m > uni.m))
+		return rep, nil
+	}
 }

@@ -9,19 +9,21 @@ import (
 
 // Journal is the AppendLog that makes a batch resumable: every completed
 // outcome (and every deterministic failure) is one self-contained line
-// keyed by the owning spec's fingerprint and the run index. An interrupted
-// sweep — SIGINT, a crash, a power cut — loses at most the line being
-// written; reopening the journal with resume and rerunning the identical
-// batch serves the recorded runs without recomputation and produces
-// byte-identical results, because a run is a pure function of (Config,
-// Seed) and Go's JSON float encoding round-trips exactly. Entries whose
-// fingerprint does not match any current spec are ignored, so a stale
-// journal can never inject outcomes into a changed experiment.
+// keyed by the owning spec's content Fingerprint and the run index. An
+// interrupted sweep — SIGINT, a crash, a power cut — loses at most the
+// line being written; reopening the journal with resume and rerunning
+// the identical batch serves the recorded runs without recomputation and
+// produces byte-identical results, because a run is a pure function of
+// (Config, Seed) and Go's JSON float encoding round-trips exactly.
+// Entries whose fingerprint does not match any current spec are ignored,
+// so a stale journal can never inject outcomes into a changed experiment.
 type Journal struct {
-	*AppendLog[journalKey, journalRecord]
+	*AppendLog[runKey, journalRecord]
 }
 
-type journalKey struct {
+// runKey addresses one run by content: the Fingerprint of its series and
+// the run index. The journal and Fold's within-batch dedup share it.
+type runKey struct {
 	fp  string
 	run int
 }
@@ -36,18 +38,20 @@ type journalRecord struct {
 	Error       *RunError    `json:"error,omitempty"`
 }
 
-// Fingerprint identifies everything about a Spec that determines its
-// outcomes: the series identity, repetition plan, seeds, and the
-// outcome-determining content of the base configuration. It delegates to
-// spec.SeriesFingerprint — the codebase's single fingerprint
-// implementation, shared with the result cache and the golden matrices —
-// which encodes registry-typed configurations canonically and falls back
-// to printed struct representations for custom protocol/adversary types.
-// Outcome-neutral knobs — Workers, Trace, Sample, progress — are
-// deliberately excluded, so a journal written at -workers 8 resumes
-// cleanly at -workers 1.
+// Fingerprint identifies the content of a Spec — base seed and the
+// outcome-determining content of the base configuration — so that run r
+// of any two specs with equal fingerprints is the same execution. The
+// series name and Runs are left out: neither affects a run, whose seed is
+// xrand.Derive(BaseSeed, r). With the run index it keys the journal and
+// Fold's within-batch dedup alike. It delegates to spec.SeriesFingerprint
+// — the codebase's single fingerprint implementation, shared with the
+// result cache and the golden matrices — which encodes registry-typed
+// configurations canonically and falls back to printed struct
+// representations for custom protocol/adversary types. Outcome-neutral
+// knobs — Workers, Trace, Sample, progress — are deliberately excluded,
+// so a journal written at -workers 8 resumes cleanly at -workers 1.
 func Fingerprint(s Spec) string {
-	return spec.SeriesFingerprint(s.Name, s.Runs, s.BaseSeed, s.Base)
+	return spec.SeriesFingerprint(s.BaseSeed, s.Base)
 }
 
 // OpenJournal opens (or creates) the journal at path. With resume set,
@@ -55,8 +59,8 @@ func Fingerprint(s Spec) string {
 // file is truncated and the batch starts from scratch. The caller owns the
 // returned journal and must Close it.
 func OpenJournal(path string, resume bool) (*Journal, error) {
-	log, err := OpenLog(path, resume, func(rec journalRecord) (journalKey, bool) {
-		return journalKey{rec.Fingerprint, rec.Run}, rec.Outcome != nil || rec.Error != nil
+	log, err := OpenLog(path, resume, func(rec journalRecord) (runKey, bool) {
+		return runKey{rec.Fingerprint, rec.Run}, rec.Outcome != nil || rec.Error != nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("runner: journal: %w", err)
@@ -67,7 +71,7 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 // Lookup returns the recorded outcome or error of the given run, if the
 // journal holds one for this exact spec.
 func (j *Journal) Lookup(s Spec, run int) (sim.Outcome, *RunError, bool) {
-	rec, ok := j.Get(journalKey{Fingerprint(s), run})
+	rec, ok := j.Get(runKey{Fingerprint(s), run})
 	if rec.Outcome == nil {
 		return sim.Outcome{}, rec.Error, ok
 	}

@@ -159,25 +159,30 @@ func TestJournalServesDeterministicFailures(t *testing.T) {
 }
 
 // TestFingerprintSensitivity: the fingerprint must move with anything that
-// determines outcomes, including adversary tuning fields Name() omits.
+// determines outcomes, including adversary tuning fields Name() omits, and
+// with nothing else — the series name and Runs label and size a plan, and
+// two series that differ only there share their runs.
 func TestFingerprintSensitivity(t *testing.T) {
 	base := Spec{Name: "s", Base: sim.Config{N: 10, F: 3, Protocol: bombProto{}, Adversary: panicAdv{Trigger: 1}}, Runs: 5, BaseSeed: 1}
 	fp := Fingerprint(base)
-	mutate := map[string]func(*Spec){
-		"name":      func(s *Spec) { s.Name = "t" },
-		"runs":      func(s *Spec) { s.Runs = 6 },
-		"seed":      func(s *Spec) { s.BaseSeed = 2 },
-		"n":         func(s *Spec) { s.Base.N = 11 },
-		"f":         func(s *Spec) { s.Base.F = 4 },
-		"maxevents": func(s *Spec) { s.Base.MaxEvents = 77 },
-		"adversary": func(s *Spec) { s.Base.Adversary = panicAdv{Trigger: 2} },
-		"protocol":  func(s *Spec) { s.Base.Protocol = nil },
+	mutate := map[string]struct {
+		mut   func(*Spec)
+		moves bool
+	}{
+		"name":      {func(s *Spec) { s.Name = "t" }, false},
+		"runs":      {func(s *Spec) { s.Runs = 6 }, false},
+		"seed":      {func(s *Spec) { s.BaseSeed = 2 }, true},
+		"n":         {func(s *Spec) { s.Base.N = 11 }, true},
+		"f":         {func(s *Spec) { s.Base.F = 4 }, true},
+		"maxevents": {func(s *Spec) { s.Base.MaxEvents = 77 }, true},
+		"adversary": {func(s *Spec) { s.Base.Adversary = panicAdv{Trigger: 2} }, true},
+		"protocol":  {func(s *Spec) { s.Base.Protocol = nil }, true},
 	}
-	for what, mut := range mutate {
+	for what, m := range mutate {
 		s := base
-		mut(&s)
-		if Fingerprint(s) == fp {
-			t.Errorf("fingerprint ignores %s", what)
+		m.mut(&s)
+		if moved := Fingerprint(s) != fp; moved != m.moves {
+			t.Errorf("changing %s moved the fingerprint: %v, want %v", what, moved, m.moves)
 		}
 	}
 	if Fingerprint(base) != fp {

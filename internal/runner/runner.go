@@ -130,8 +130,9 @@ type RunUpdate struct {
 	// Failed and Flaky are the cumulative deterministic-failure and
 	// recovered-by-retry counts so far.
 	Failed, Flaky int
-	// FromJournal marks a run served from the journal without
-	// recomputation; Journaled is the cumulative count of such runs.
+	// FromJournal marks a run served without recomputation — from the
+	// journal, a result store, or an earlier job of the same batch with
+	// the same run key; Journaled is the cumulative count of such runs.
 	FromJournal bool
 	Journaled   int
 	// Err is set when this run failed deterministically.
@@ -194,12 +195,18 @@ type Done func(i int, o *sim.Outcome, re *RunError, served bool)
 type Dispatch func(ctx context.Context, jobs []Job, done Done) error
 
 // Fold is the result contract of a batch, whoever computes its runs: one
-// Result per spec with Outcomes in run order, journal-recorded runs served
-// without dispatching them, every other run handed to dispatch and folded
-// back as it finishes. ExecuteContext folds over the local worker pool and
-// the sweep service over a coordinator's lease queue, so local, remote and
-// resumed sweeps render byte-identical artifacts.
+// Result per spec with Outcomes in run order, every distinct run handed
+// to dispatch at most once and folded back as it finishes. ExecuteContext
+// folds over the local worker pool and the sweep service over a
+// coordinator's lease queue, so local, remote and resumed sweeps render
+// byte-identical artifacts.
 //
+//   - Every run is keyed by (Fingerprint of its spec, run index): the
+//     series name and Runs are not part of the key, because neither
+//     affects the run. A key the Journal holds is served from it; a key an
+//     earlier job of the same batch already planned is served by that
+//     job's result, reported in every series that contains it under that
+//     series' own name. Only the remaining runs are dispatched.
 //   - A run with a deterministic RunError, or with no outcome at all,
 //     failed: it lands in Result.Errors, re-addressed to its series
 //     coordinates, its Outcomes slot holds the FailedOutcome placeholder,
@@ -229,14 +236,11 @@ func Fold(ctx context.Context, specs []Spec, opts Options, dispatch Dispatch) ([
 		fps   = make([]string, len(specs))
 	)
 	// settle folds one finished run into its slot, the journal (nil for the
-	// runs the journal itself served) and the OnRun feed.
+	// runs the journal or the batch already holds) and the OnRun feed.
 	settle := func(j Job, o *sim.Outcome, re *RunError, served bool, journal *Journal) {
 		s, res := &specs[j.Series], &results[j.Series]
 		u := RunUpdate{Spec: s.Name, Run: j.Run, Seed: xrand.Derive(s.BaseSeed, uint64(j.Run)), Total: total, FromJournal: served}
 		failed := re != nil && (re.Deterministic || o == nil)
-		if served && !failed {
-			re = nil // a store serves outcomes and failures, not old incidents
-		}
 		if re != nil {
 			// Dispatchers may address a run their own way (the service: by
 			// spec fingerprint); results use series coordinates.
@@ -275,26 +279,35 @@ func Fold(ctx context.Context, specs []Spec, opts Options, dispatch Dispatch) ([
 	}
 
 	jobs := make([]Job, 0, total)
+	planned := make(map[runKey]int, total) // → the key's index in jobs
+	dups := map[int][]Job{}                // jobs[i] → the later jobs with its key
 	for si := range specs {
-		if opts.Journal != nil {
-			fps[si] = Fingerprint(specs[si])
-		}
+		fps[si] = Fingerprint(specs[si]) // once per series: canonicalising is the costly part
 		for r := 0; r < specs[si].Runs; r++ {
-			j := Job{si, r}
+			j, key := Job{si, r}, runKey{fps[si], r}
 			if opts.Journal != nil {
-				// By (fingerprint, run): a series is fingerprinted once, not
-				// once per run as Lookup would.
-				if rec, ok := opts.Journal.Get(journalKey{fps[si], r}); ok {
+				if rec, ok := opts.Journal.Get(key); ok {
 					settle(j, rec.Outcome, rec.Error, true, nil)
 					continue
 				}
 			}
+			if i, ok := planned[key]; ok {
+				dups[i] = append(dups[i], j)
+				continue
+			}
+			planned[key] = len(jobs)
 			jobs = append(jobs, j)
 		}
 	}
 	if len(jobs) > 0 {
 		err := dispatch(ctx, jobs, func(i int, o *sim.Outcome, re *RunError, served bool) {
+			if served && re != nil && !re.Deterministic && o != nil {
+				re = nil // a store serves outcomes and failures, not old incidents
+			}
 			settle(jobs[i], o, re, served, opts.Journal)
+			for _, d := range dups[i] {
+				settle(d, o, re, true, nil)
+			}
 		})
 		if err != nil && ctx.Err() == nil {
 			return nil, err

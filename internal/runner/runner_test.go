@@ -111,3 +111,84 @@ func TestExtractors(t *testing.T) {
 		t.Error("empty-slice rates must be 0")
 	}
 }
+
+// TestFoldDedupMatchesFoldingAlone is the differential test of Fold's
+// within-batch dedup: a batch holding series that share (Base, BaseSeed)
+// under different names and run counts folds exactly as folding each spec
+// alone — outcomes, FailedOutcome placeholders, Errors and Flaky
+// re-addressed to each series — while the dispatcher sees every distinct
+// run once.
+func TestFoldDedupMatchesFoldingAlone(t *testing.T) {
+	x := sim.Config{N: 12, F: 3, Protocol: gossip.PushPull{}}
+	y := sim.Config{N: 9, F: 0, Protocol: gossip.RoundRobin{}}
+	batch := []Spec{
+		{Name: "a", Base: x, Runs: 6, BaseSeed: 1},
+		{Name: "b", Base: x, Runs: 9, BaseSeed: 1}, // runs 0–5 are a's
+		{Name: "c", Base: y, Runs: 4, BaseSeed: 1},
+		{Name: "d", Base: x, Runs: 3, BaseSeed: 1}, // all a's
+		{Name: "e", Base: x, Runs: 4, BaseSeed: 2}, // another seed: distinct
+	}
+	// fake computes a run as a pure function of its configuration and
+	// addresses incidents its own way, as the sweep service does: every
+	// fifth seed fails deterministically, the next one is recovered by a
+	// retry.
+	fake := func(specs []Spec, seen map[runKey]int) Dispatch {
+		return func(_ context.Context, jobs []Job, done Done) error {
+			for i, j := range jobs {
+				s := specs[j.Series]
+				cfg := s.Config(j.Run)
+				seen[runKey{Fingerprint(s), j.Run}]++
+				o := sim.Outcome{N: cfg.N, F: cfg.F, Seed: cfg.Seed, Time: float64(cfg.Seed % 97)}
+				switch cfg.Seed % 5 {
+				case 0:
+					done(i, nil, &RunError{Spec: "lease", Panic: "boom", Deterministic: true}, false)
+				case 1:
+					done(i, &o, &RunError{Spec: "lease", Panic: "hiccup"}, false)
+				default:
+					done(i, &o, nil, false)
+				}
+			}
+			return nil
+		}
+	}
+
+	var want []Result
+	for _, s := range batch {
+		res, err := Fold(context.Background(), []Spec{s}, Options{}, fake([]Spec{s}, map[runKey]int{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, res...)
+	}
+	seen := map[runKey]int{}
+	var final RunUpdate
+	got, err := Fold(context.Background(), batch, Options{OnRun: func(u RunUpdate) {
+		if u.Done == u.Total {
+			final = u
+		}
+	}}, fake(batch, seen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("batch fold differs from folding each spec alone:\n got %+v\nwant %+v", got, want)
+	}
+	if len(seen) != 17 {
+		t.Errorf("dispatched %d distinct runs, want 17", len(seen))
+	}
+	for key, n := range seen {
+		if n != 1 {
+			t.Errorf("run %v dispatched %d times", key, n)
+		}
+	}
+	if final.Done != 26 || final.Journaled != 9 {
+		t.Errorf("final update %+v, want Done 26 with 9 served", final)
+	}
+	errs, flaky := 0, 0
+	for _, res := range got {
+		errs, flaky = errs+len(res.Errors), flaky+len(res.Flaky)
+	}
+	if errs == 0 || flaky == 0 {
+		t.Fatalf("fake produced %d errors and %d flaky runs; the test needs both", errs, flaky)
+	}
+}

@@ -19,10 +19,12 @@
 // pinned. CanonicalJSON marshals that form with a fixed field order and
 // sorted parameter keys, and Fingerprint hashes those bytes with FNV-64a —
 // the one fingerprint implementation in the codebase, shared by the run
-// journal (SeriesFingerprint), the result cache, and the golden matrices
-// (OutcomeHash). Two specs that build the same run — whatever field order,
-// default elision, or parameter spelling their JSON arrived with —
-// fingerprint identically.
+// journal and the batch dedup (SeriesFingerprint), the result cache, and
+// the golden matrices (OutcomeHash). Two specs that build the same run —
+// whatever field order, default elision, or parameter spelling their JSON
+// arrived with — fingerprint identically. A series fingerprint keys
+// content only: the series name and run count are labels and plan sizes,
+// not inputs of any run.
 //
 // # Versioning rules
 //
@@ -311,18 +313,21 @@ func unmarshalStrict(data []byte, v any) error {
 	return dec.Decode(v)
 }
 
-// SeriesFingerprint identifies everything about a runner series — name,
-// repetition plan, base seed, and the outcome-determining content of its
-// base configuration — that determines its outcomes; it is the journal's
-// record key. Registry-typed configurations fingerprint through their
-// canonical spec encoding (seed zeroed: runs derive per-run seeds from
-// the base seed and index); custom protocol or adversary types fall back
-// to an opaque printed representation, which still captures tuning fields
-// Name() omits. Outcome-neutral knobs — Workers, Trace, Sample, progress —
-// are deliberately excluded, so a journal written at -workers 8 resumes
+// SeriesFingerprint identifies the content of a runner series — base
+// seed and the outcome-determining content of its base configuration —
+// so that run r of two series with equal fingerprints is the same
+// execution: run r's seed is xrand.Derive(baseSeed, r) whatever the
+// series is called or how many runs it plans. It is the run store's key
+// (with the run index) and the within-batch dedup key. Registry-typed
+// configurations fingerprint through their canonical spec encoding (seed
+// zeroed: runs derive per-run seeds from the base seed and index);
+// custom protocol or adversary types fall back to an opaque printed
+// representation, which still captures tuning fields Name() omits.
+// Outcome-neutral knobs — Workers, Trace, Sample, progress — are
+// deliberately excluded, so a journal written at -workers 8 resumes
 // cleanly at -workers 1.
-func SeriesFingerprint(name string, runs int, baseSeed uint64, base sim.Config) string {
-	prefix := fmt.Sprintf("series|%s|%d|%d|", name, runs, baseSeed)
+func SeriesFingerprint(baseSeed uint64, base sim.Config) string {
+	prefix := fmt.Sprintf("series|%d|", baseSeed)
 	if sp, err := FromConfig(base); err == nil {
 		sp.Seed = 0
 		if b, err := sp.CanonicalJSON(); err == nil {

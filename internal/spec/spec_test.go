@@ -210,24 +210,25 @@ func TestValidationErrors(t *testing.T) {
 // TestSeriesFingerprintFallback: configurations without a registry
 // encoding (nil protocol, custom types) fingerprint through the opaque
 // path, which still distinguishes everything the old journal fingerprint
-// did — plus the fault/stall fields it missed.
+// did — plus the fault/stall fields it missed — and keys content only:
+// the series name and run count are not inputs of any run.
 func TestSeriesFingerprintFallback(t *testing.T) {
 	base := sim.Config{N: 10, F: 1}
-	fp := SeriesFingerprint("s", 5, 1, base)
-	if got := SeriesFingerprint("s", 5, 1, sim.Config{N: 11, F: 1}); got == fp {
+	fp := SeriesFingerprint(1, base)
+	if got := SeriesFingerprint(1, sim.Config{N: 11, F: 1}); got == fp {
 		t.Error("fallback fingerprint ignored N")
 	}
-	if got := SeriesFingerprint("t", 5, 1, base); got == fp {
-		t.Error("fingerprint ignored the series name")
+	if got := SeriesFingerprint(2, base); got == fp {
+		t.Error("fingerprint ignored the base seed")
 	}
 	withStall := base
 	withStall.StallWindow = 100
-	if got := SeriesFingerprint("s", 5, 1, withStall); got == fp {
+	if got := SeriesFingerprint(1, withStall); got == fp {
 		t.Error("fallback fingerprint ignored the stall window")
 	}
 	withTopo := base
 	withTopo.Topology = &sim.Topology{Kind: "ring"}
-	if got := SeriesFingerprint("s", 5, 1, withTopo); got == fp {
+	if got := SeriesFingerprint(1, withTopo); got == fp {
 		t.Error("fallback fingerprint ignored the topology")
 	}
 }
