@@ -269,27 +269,35 @@ func TestDropLinkAndHeal(t *testing.T) {
 
 // TestRecoverRetained: crash during dissemination, recover with state
 // retained; the run must end with zero crashed processes and both
-// lifecycle counters set.
+// lifecycle counters set. Recovered in the step it crashed in, the victim
+// misses nothing: the step's sends all follow the crash, so none of them
+// is pre-crash residue, and the flood still gathers.
 func TestRecoverRetained(t *testing.T) {
-	var crashOK, recoverOK bool
-	o, err := Run(Config{
-		N: 5, F: 1, Protocol: floodProto{ack: true}, Seed: 9,
-		Adversary: outageAdv{victim: 2, crashAt: 1, recoverAt: 2, crashOK: &crashOK, recoverOK: &recoverOK},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !crashOK || !recoverOK {
-		t.Fatalf("crashOK=%v recoverOK=%v, want both", crashOK, recoverOK)
-	}
-	if o.Crashed != 0 {
-		t.Errorf("Outcome.Crashed = %d, want 0 after recovery", o.Crashed)
-	}
-	if o.Stats.Crashes != 1 || o.Stats.Recoveries != 1 {
-		t.Errorf("Crashes=%d Recoveries=%d, want 1/1", o.Stats.Crashes, o.Stats.Recoveries)
-	}
-	if o.HorizonHit {
-		t.Error("recovery run failed to quiesce")
+	for _, recoverAt := range []Step{2, 1} {
+		var crashOK, recoverOK bool
+		o, err := Run(Config{
+			N: 5, F: 1, Protocol: floodProto{ack: true}, Seed: 9,
+			Adversary: outageAdv{victim: 2, crashAt: 1, recoverAt: recoverAt, crashOK: &crashOK, recoverOK: &recoverOK},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !crashOK || !recoverOK {
+			t.Fatalf("recoverAt=%d: crashOK=%v recoverOK=%v, want both", recoverAt, crashOK, recoverOK)
+		}
+		if o.Crashed != 0 {
+			t.Errorf("recoverAt=%d: Outcome.Crashed = %d, want 0 after recovery", recoverAt, o.Crashed)
+		}
+		if o.Stats.Crashes != 1 || o.Stats.Recoveries != 1 {
+			t.Errorf("recoverAt=%d: Crashes=%d Recoveries=%d, want 1/1", recoverAt, o.Stats.Crashes, o.Stats.Recoveries)
+		}
+		if o.HorizonHit {
+			t.Errorf("recoverAt=%d: recovery run failed to quiesce", recoverAt)
+		}
+		if recoverAt == 1 && (o.Stats.DroppedCrashed != 0 || !o.Gathered) {
+			t.Errorf("recoverAt=1: DroppedCrashed=%d Gathered=%v, want 0/true: a send after the crash is not residue",
+				o.Stats.DroppedCrashed, o.Gathered)
+		}
 	}
 }
 

@@ -17,7 +17,9 @@ import (
 // first same-type entry in Names order) and the Names order itself decide
 // them, so a registry refactor that moves either one fails here instead of
 // silently orphaning every stored run. The two tuned core.UGF rows are the
-// ones that move when "ugf" and "ugf-sampled" swap places.
+// ones that move when "ugf" and "ugf-sampled" swap places. The spec rows
+// pin every optional run field, so removing or adding an elided field
+// shows here if it moves any stored key.
 func TestRegistryFingerprintsPinned(t *testing.T) {
 	if got, want := gossip.Names(), []string{"adaptive", "broadcast", "budget-capped", "doubling",
 		"ears", "pull", "push", "push-pull", "round-robin", "sears"}; !reflect.DeepEqual(got, want) {
@@ -70,15 +72,50 @@ func TestRegistryFingerprintsPinned(t *testing.T) {
 	if want := len(gossip.Names()) + len(adversary.Names()) + 14; len(rows) != want {
 		t.Errorf("table has %d rows, want %d: a registry entry is not pinned", len(rows), want)
 	}
+	check := func(label string, sp Spec, want string) {
+		t.Helper()
+		if got := sp.Fingerprint(); got != want {
+			js, _ := sp.CanonicalJSON()
+			t.Errorf("%s: fingerprint %s, want %s (canonical spec %s)", label, got, want, js)
+		}
+	}
 	for _, r := range rows {
 		sp, err := FromConfig(sim.Config{N: 10, F: 3, Protocol: r.p, Adversary: r.a, Seed: 1})
 		if err != nil {
 			t.Errorf("%s: %v", r.label, err)
 			continue
 		}
-		if got := sp.Fingerprint(); got != r.want {
-			js, _ := sp.CanonicalJSON()
-			t.Errorf("%s: fingerprint %s, want %s (canonical spec %s)", r.label, got, r.want, js)
+		check(r.label, sp, r.want)
+	}
+
+	// Every optional run field, alone and together.
+	base := Spec{Protocol: "ears", N: 10, F: 3, Seed: 1}
+	for _, r := range []struct {
+		label string
+		mut   func(*Spec)
+		want  string
+	}{
+		{"horizon", func(s *Spec) { s.Horizon = 1000 }, "d2088377d304b03a"},
+		{"max events", func(s *Spec) { s.MaxEvents = 1 << 20 }, "e122b5d3fa7418d5"},
+		{"faults", func(s *Spec) { s.Faults = "drop=0.1,dup=0.05,seed=3" }, "d8d52c68a3f4db36"},
+		{"topology", func(s *Spec) { s.Topology = "k-regular,k=4" }, "d9a250b93c121491"},
+		{"stall window", func(s *Spec) { s.StallWindow = 4096 }, "cf8c9919a6e06602"},
+		{"params", func(s *Spec) {
+			s.Protocol, s.ProtocolParams = "sears", map[string]float64{"epsilon": 0.25}
+			s.Adversary, s.AdversaryParams = "ugf", map[string]float64{"tau": 100}
+		}, "3ed658b130cca4de"},
+		{"all", func(s *Spec) {
+			s.Adversary, s.AdversaryParams = "omission", map[string]float64{"dropbudget": 10}
+			s.Horizon, s.MaxEvents, s.StallWindow = 1000, 1<<20, 4096
+			s.Faults, s.Topology = "corrupt=0.1,seed=5", "ring"
+		}, "cb2cb4f961569c73"},
+	} {
+		sp := base
+		r.mut(&sp)
+		if err := sp.Validate(); err != nil {
+			t.Errorf("%s: %v", r.label, err)
+			continue
 		}
+		check("spec with "+r.label, sp, r.want)
 	}
 }
