@@ -107,7 +107,7 @@ func TestAllProtocolsDeterministic(t *testing.T) {
 		proto := proto
 		t.Run(proto.Name(), func(t *testing.T) {
 			t.Parallel()
-			cfg := sim.Config{N: 23, F: 7, Protocol: proto, Seed: 99, KeepPerProcess: true}
+			cfg := sim.Config{N: 23, F: 7, Protocol: proto, Seed: 99}
 			a, err := sim.Run(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -129,7 +129,7 @@ func TestAllProtocolsSerialParallelEquivalence(t *testing.T) {
 		t.Run(proto.Name(), func(t *testing.T) {
 			t.Parallel()
 			for seed := uint64(0); seed < 5; seed++ {
-				base := sim.Config{N: 40, F: 12, Protocol: proto, Seed: seed, KeepPerProcess: true}
+				base := sim.Config{N: 40, F: 12, Protocol: proto, Seed: seed}
 				serial := base
 				serial.Workers = 1
 				parallel := base
@@ -259,14 +259,21 @@ func TestSEARSBaselineIsFastAndMessageHeavy(t *testing.T) {
 func TestBudgetCappedNeverExceedsBudget(t *testing.T) {
 	for _, alpha := range []int{1, 2, 4, 8} {
 		proto := BudgetCapped{Alpha: alpha}
+		rec := &sim.Recorder{}
 		o, err := sim.Run(sim.Config{
-			N: 60, F: 18, Protocol: proto, Seed: 7, KeepPerProcess: true,
+			N: 60, F: 18, Protocol: proto, Seed: 7, Trace: rec,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		budget := int64(proto.Budget(60))
-		for p, m := range o.PerProcessMsgs {
+		sent := make([]int64, 60)
+		for _, ev := range rec.Events {
+			if ev.Kind == sim.TraceSend {
+				sent[ev.Proc]++
+			}
+		}
+		for p, m := range sent {
 			if m > budget {
 				t.Errorf("α=%d: process %d sent %d > budget %d", alpha, p, m, budget)
 			}

@@ -75,8 +75,6 @@ type Config struct {
 	// discipline as the simulator's (deliveries before local steps, serial
 	// commit order); nil disables tracing.
 	Trace sim.TraceSink
-	// KeepPerProcess retains per-node send counters in the Outcome.
-	KeepPerProcess bool
 }
 
 // DelayPlan adds seeded extra in-flight delay on top of the baseline
@@ -193,8 +191,6 @@ func FromSimConfig(cfg sim.Config) (Config, error) {
 		return Config{}, errors.New("live: topologies are simulator-only; live mode runs the complete graph")
 	case cfg.Sample != nil || cfg.SampleEvery != 0:
 		return Config{}, errors.New("live: dissemination-curve sampling is simulator-only")
-	case cfg.StatsEvery != 0:
-		return Config{}, errors.New("live: the interval-stats series is simulator-only")
 	case cfg.MaxWall != 0 || cfg.Cancel != nil:
 		return Config{}, errors.New("live: wall-clock watchdogs are simulator-only")
 	case cfg.Workers > 1:
@@ -203,7 +199,7 @@ func FromSimConfig(cfg sim.Config) (Config, error) {
 	return Config{
 		N: cfg.N, F: cfg.F, Protocol: cfg.Protocol, Seed: cfg.Seed,
 		Horizon: cfg.Horizon, MaxEvents: cfg.MaxEvents, StallWindow: cfg.StallWindow,
-		Faults: cfg.Faults, Trace: cfg.Trace, KeepPerProcess: cfg.KeepPerProcess,
+		Faults: cfg.Faults, Trace: cfg.Trace,
 	}, nil
 }
 

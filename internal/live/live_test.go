@@ -25,9 +25,9 @@ func proto(t testing.TB, name string) sim.Protocol {
 // configs both runtimes cover (baseline network + link-fault plan), a
 // live run over real goroutine nodes and wire frames produces the same
 // Outcome as the simulator bit for bit — same TEnd, Quiescence, Messages,
-// per-kind counts, per-process counters, everything up to
-// simtest.Normalize (wall times and the sim-only scheduler heap
-// counters, which stay zero live).
+// per-kind counts, everything up to simtest.Normalize (wall times and the
+// sim-only scheduler heap counters, which stay zero live) — and each
+// process sends as often in both, counted off the two traces.
 func TestLiveMatchesSimExactly(t *testing.T) {
 	protocols := []string{"push-pull", "ears", "push", "doubling", "round-robin"}
 	plans := []*sim.FaultPlan{
@@ -42,9 +42,10 @@ func TestLiveMatchesSimExactly(t *testing.T) {
 	for _, name := range protocols {
 		for _, plan := range plans {
 			for _, seed := range seeds {
+				var simRec, liveRec sim.Recorder
 				simCfg := sim.Config{
 					N: 48, Protocol: proto(t, name), Seed: seed,
-					Faults: plan, KeepPerProcess: true,
+					Faults: plan, Trace: &simRec,
 				}
 				want, err := sim.Run(simCfg)
 				if err != nil {
@@ -54,6 +55,7 @@ func TestLiveMatchesSimExactly(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: FromSimConfig: %v", name, err)
 				}
+				liveCfg.Trace = &liveRec
 				got, err := live.Run(liveCfg)
 				if err != nil {
 					t.Fatalf("%s/faults=%v/seed=%d: live: %v", name, plan != nil, seed, err)
@@ -66,9 +68,25 @@ func TestLiveMatchesSimExactly(t *testing.T) {
 					t.Errorf("%s/faults=%v/seed=%d: Gathered: live=%v sim=%v",
 						name, plan != nil, seed, got.Gathered, want.Gathered)
 				}
+				if g, w := sendsByProc(liveRec.Events, 48), sendsByProc(simRec.Events, 48); !reflect.DeepEqual(g, w) {
+					t.Errorf("%s/faults=%v/seed=%d: per-process sends: live=%v sim=%v",
+						name, plan != nil, seed, g, w)
+				}
 			}
 		}
 	}
+}
+
+// sendsByProc reads M_ρ(O) for every process off a trace: its TraceSend
+// events.
+func sendsByProc(events []sim.TraceEvent, n int) []int64 {
+	sends := make([]int64, n)
+	for _, ev := range events {
+		if ev.Kind == sim.TraceSend {
+			sends[ev.Proc]++
+		}
+	}
+	return sends
 }
 
 // TestLiveDeterministic pins that a live run is a pure function of its
@@ -84,7 +102,7 @@ func TestLiveDeterministic(t *testing.T) {
 			Delay:   &live.DelayPlan{Seed: 11, Prob: 0.2, Max: 3},
 			Omit:    &live.OmitPlan{Seed: 13, Prob: 0.1},
 			Crashes: live.DeriveCrashes(15, 32, 4, 6),
-			Trace:   &rec, KeepPerProcess: true,
+			Trace:   &rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -158,7 +176,6 @@ func TestFromSimConfigRejects(t *testing.T) {
 	}{
 		{"adversary", func(c *sim.Config) { c.Adversary = stubAdversary{} }, "adversary"},
 		{"sampling", func(c *sim.Config) { c.SampleEvery = 4 }, "sampling"},
-		{"interval stats", func(c *sim.Config) { c.StatsEvery = 4 }, "interval-stats"},
 		{"wall watchdog", func(c *sim.Config) { c.MaxWall = 1 }, "wall-clock"},
 		{"cancel channel", func(c *sim.Config) { c.Cancel = make(chan struct{}) }, "wall-clock"},
 		{"workers", func(c *sim.Config) { c.Workers = 4 }, "Workers"},
@@ -183,7 +200,6 @@ func TestFromSimConfigRejects(t *testing.T) {
 	cfg.MaxEvents = 10000
 	cfg.StallWindow = 64
 	cfg.Faults = &sim.FaultPlan{Seed: 2, Drop: 0.1}
-	cfg.KeepPerProcess = true
 	got, err := live.FromSimConfig(cfg)
 	if err != nil {
 		t.Fatalf("supported config rejected: %v", err)
@@ -191,7 +207,7 @@ func TestFromSimConfigRejects(t *testing.T) {
 	want := live.Config{
 		N: 16, F: 3, Protocol: pp, Seed: 1,
 		Horizon: 500, MaxEvents: 10000, StallWindow: 64,
-		Faults: cfg.Faults, KeepPerProcess: true,
+		Faults: cfg.Faults,
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("projection mismatch:\n got  %+v\n want %+v", got, want)

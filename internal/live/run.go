@@ -565,12 +565,6 @@ func (r *runtime) outcome() sim.Outcome {
 		o.Time = float64(o.TEnd) / float64(norm)
 	}
 	o.Gathered = r.gathered()
-	if r.cfg.KeepPerProcess {
-		o.PerProcessMsgs = make([]int64, r.n)
-		for p, nd := range r.nodes {
-			o.PerProcessMsgs[p] = nd.seq
-		}
-	}
 	st := r.st
 	st.Events = r.eventCount
 	st.Sends = r.msgTotal

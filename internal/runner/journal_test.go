@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/ugf-sim/ugf/internal/sim"
+	"github.com/ugf-sim/ugf/internal/simtest"
 )
 
 func journalSpecs(calls *atomic.Int64) []Spec {
@@ -19,7 +20,9 @@ func journalSpecs(calls *atomic.Int64) []Spec {
 }
 
 // TestJournalResumeSkipsRecordedRuns: a journaled batch replays entirely
-// from the journal — identical results, zero recomputation.
+// from the journal — identical results, zero recomputation — and so does
+// a journal whose outcomes carry the per-process counters and interval
+// series that older builds wrote.
 func TestJournalResumeSkipsRecordedRuns(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "runs.jsonl")
 	var calls atomic.Int64
@@ -37,25 +40,41 @@ func TestJournalResumeSkipsRecordedRuns(t *testing.T) {
 	if calls.Load() != 8 {
 		t.Fatalf("first pass executed %d runs, want 8", calls.Load())
 	}
+	written, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	calls.Store(0)
-	j2, err := OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.Len() != 8 {
-		t.Fatalf("journal loaded %d entries, want 8", j2.Len())
-	}
-	second, err := ExecuteContext(context.Background(), journalSpecs(&calls), Options{Workers: 2, Journal: j2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 0 {
-		t.Errorf("resume recomputed %d runs, want 0", calls.Load())
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Error("journal round trip changed the results")
+	for _, form := range []struct {
+		name   string
+		legacy func(string) string
+	}{
+		{"as written", func(s string) string { return s }},
+		{"older build, fields null", simtest.LegacyOutcomeNull},
+		{"older build, fields populated", simtest.LegacyOutcomePopulated},
+	} {
+		if err := os.WriteFile(path, []byte(form.legacy(string(written))), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		calls.Store(0)
+		j2, err := OpenJournal(path, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j2.Len() != 8 {
+			t.Fatalf("%s: journal loaded %d entries, want 8", form.name, j2.Len())
+		}
+		second, err := ExecuteContext(context.Background(), journalSpecs(&calls), Options{Workers: 2, Journal: j2})
+		j2.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls.Load() != 0 {
+			t.Errorf("%s: resume recomputed %d runs, want 0", form.name, calls.Load())
+		}
+		if !reflect.DeepEqual(first, second) {
+			t.Errorf("%s: journal round trip changed the results", form.name)
+		}
 	}
 }
 

@@ -67,7 +67,7 @@ func (l *AppendLog[K, R]) load() error {
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // KeepPerProcess outcomes can be long lines
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // logs from older builds can hold multi-MB per-process outcome lines
 	for sc.Scan() {
 		var rec R
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {

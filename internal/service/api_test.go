@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/ugf-sim/ugf/internal/sim"
+	"github.com/ugf-sim/ugf/internal/simtest"
 	"github.com/ugf-sim/ugf/internal/spec"
 )
 
@@ -176,6 +177,8 @@ func TestAPIValidationFailures(t *testing.T) {
 		{"unknown protocol", `{"specs":[{"protocol":"nope","n":10,"f":1}]}`, "protocol", ""},
 		{"bad param", `{"specs":[{"protocol":"sears","protocol_params":{"epsilon":7},"n":10,"f":1}]}`, "protocol_params", "epsilon"},
 		{"bad n", `{"specs":[{"protocol":"ears","n":0,"f":0}]}`, "n", ""},
+		{"removed stats_every", `{"specs":[{"protocol":"ears","n":10,"f":1,"stats_every":4}]}`, "", ""},
+		{"removed keep_per_process", `{"specs":[{"protocol":"ears","n":10,"f":1,"keep_per_process":true}]}`, "", ""},
 	}
 	for _, tc := range cases {
 		status, eb := post(t, tc.body)
@@ -234,9 +237,13 @@ func TestAPIValidationFailures(t *testing.T) {
 
 // TestWorkerCancelledRunRequeues: a worker shut down mid-run reports a
 // cancelled outcome, which the coordinator requeues rather than caches —
-// the next worker computes it fresh.
+// the next worker computes it fresh. That worker is an older build, whose
+// outcome carries per-process counters and an interval series; its post
+// settles the run all the same.
 func TestWorkerCancelledRunRequeues(t *testing.T) {
 	coord := NewCoordinator(Options{})
+	srv := httptest.NewServer(NewServer(coord))
+	defer srv.Close()
 	if _, err := coord.Submit(SweepRequest{Specs: []spec.Spec{{Protocol: "push-pull", N: 8, F: 1, Seed: 9}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -256,5 +263,31 @@ func TestWorkerCancelledRunRequeues(t *testing.T) {
 	}
 	if _, ok := coord.Run(lease.Fingerprint); ok {
 		t.Error("cancelled outcome was cached")
+	}
+
+	cfg, err := lease2.Spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(CompleteRequest{Outcome: &o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/leases/"+lease2.ID, "application/json",
+		strings.NewReader(simtest.LegacyOutcomePopulated(string(body))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("older worker's post: status %d, want 204", resp.StatusCode)
+	}
+	if rec, ok := coord.Run(lease.Fingerprint); !ok || rec.Outcome == nil ||
+		!reflect.DeepEqual(rec.Outcome.StripWall(), o.StripWall()) {
+		t.Errorf("older worker's run settled as %+v (ok=%v), want outcome %+v", rec, ok, o)
 	}
 }

@@ -75,7 +75,7 @@ func (c *Client) Stream(ctx context.Context, id string, from int, fn func(Result
 		return apiError(resp)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // KeepPerProcess outcomes can be long lines
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24) // an older coordinator can stream multi-MB per-process outcome lines
 	for sc.Scan() {
 		var ev ResultEvent
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"github.com/ugf-sim/ugf/internal/gossip"
 	"github.com/ugf-sim/ugf/internal/runner"
 	"github.com/ugf-sim/ugf/internal/sim"
+	"github.com/ugf-sim/ugf/internal/simtest"
 	"github.com/ugf-sim/ugf/internal/spec"
 )
 
@@ -212,7 +214,8 @@ func TestCacheIgnoresLegacyLayout(t *testing.T) {
 // TestCacheSecondOpenSeesEarlierPuts: every Put is in the file when it
 // returns, so a second cache opened on the directory while the first is
 // still open — a restarted coordinator, the benchmark's read-back probe —
-// loads them all; and a Put of a fingerprint already held appends nothing.
+// loads them all, and lines an older build wrote too; and a Put of a
+// fingerprint already held appends nothing.
 func TestCacheSecondOpenSeesEarlierPuts(t *testing.T) {
 	dir := t.TempDir()
 	first, err := NewCache(dir)
@@ -242,6 +245,27 @@ func TestCacheSecondOpenSeesEarlierPuts(t *testing.T) {
 	if after := size(); after != before {
 		t.Errorf("Put of a held fingerprint grew the log from %d to %d bytes", before, after)
 	}
+
+	// Lines an older build wrote, with per-process counters and interval
+	// series in their outcomes, load and serve like the rest.
+	f, err := os.OpenFile(filepath.Join(dir, "cache.jsonl"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed, legacy := range map[uint64]func(string) string{
+		21: simtest.LegacyOutcomeNull, 22: simtest.LegacyOutcomePopulated,
+	} {
+		rec := cacheRecord(seed)
+		line, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(legacy(string(line)) + "\n"); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rec)
+	}
+	f.Close()
 
 	second, err := NewCache(dir)
 	if err != nil {

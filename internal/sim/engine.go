@@ -61,9 +61,6 @@ type Config struct {
 	// Trace receives engine events, always from the run's own goroutine;
 	// nil disables tracing.
 	Trace TraceSink
-	// KeepPerProcess retains the per-process message counters in the
-	// Outcome (O(N) memory per outcome).
-	KeepPerProcess bool
 	// Sample, when non-nil, is called at most once every SampleEvery
 	// global steps with a progress snapshot — the dissemination curve.
 	// Computing a snapshot costs O(N²) Knows queries, so keep SampleEvery
@@ -72,13 +69,6 @@ type Config struct {
 	// SampleEvery is the minimum global-step distance between snapshots;
 	// 0 with a non-nil Sample means every active step.
 	SampleEvery Step
-	// StatsEvery, when > 0, records the per-interval activity series in
-	// Outcome.Stats.Intervals: one IntervalStats per window of at least
-	// StatsEvery global steps with any activity. Unlike Sample it costs
-	// O(1) per event and nothing per process, so it is usable on runs
-	// where a coverage snapshot would be prohibitive. 0 disables the
-	// series; the run-wide counters of Outcome.Stats are always on.
-	StatsEvery Step
 
 	// MaxWall is a wall-clock watchdog: a run still going after this much
 	// real time stops at the next event boundary with a valid partial
@@ -247,10 +237,8 @@ type engine struct {
 	// Observability (see stats.go). Lanes count into private deltas that
 	// the merge folds in lane order, so Stats is identical for every lane
 	// count. Per-kind send counts stay in the lanes until stats() sums them.
-	st         Stats
-	inflight   int64 // messages currently in the calendar
-	statsEvery Step  // Config.StatsEvery
-	interval   IntervalStats
+	st       Stats
+	inflight int64 // messages currently in the calendar
 
 	// lanes are the shard lanes of the commit phase (shard.go). Lane 0
 	// exists from construction and is the whole commit phase of a step
@@ -304,7 +292,6 @@ func newEngine(cfg Config) (*engine, error) {
 		outboxes:     make([]Outbox, n),
 		awakeCorrect: n,
 		workers:      cfg.Workers,
-		statsEvery:   cfg.StatsEvery,
 		stallWindow:  cfg.StallWindow,
 	}
 	if cfg.Faults.Active() {
@@ -382,9 +369,6 @@ func (e *engine) run() {
 	if e.cfg.Sample != nil && (e.lastSample == 0 || e.lastSample != e.now) {
 		e.cfg.Sample(e.snapshot()) // final point of the curve
 	}
-	if e.statsEvery > 0 {
-		e.closeInterval(e.now + 1) // flush the open window
-	}
 	if e.cfg.Trace != nil {
 		note := "quiescence"
 		switch {
@@ -405,8 +389,8 @@ func (e *engine) run() {
 // horizonHit) so run's loop stops. Callers must have checked quiescent
 // first. It is extracted from run so the allocation-regression tests can
 // drive the steady-state loop step by step under testing.AllocsPerRun;
-// with tracing, sampling, intervals, and the adversary all absent, one
-// call allocates nothing after warm-up — the property alloc_test.go pins.
+// with tracing, sampling and the adversary all absent, one call allocates
+// nothing after warm-up — the property alloc_test.go pins.
 func (e *engine) stepOnce() bool {
 	t, ok := e.nextEventTime()
 	if !ok {
@@ -441,9 +425,6 @@ func (e *engine) stepOnce() bool {
 	}
 	e.now = t
 	e.st.ActiveSteps++
-	if e.statsEvery > 0 && t >= e.interval.Start+e.statsEvery {
-		e.closeInterval(t)
-	}
 	if e.adv != nil {
 		events := e.sendLog
 		e.sendLog = e.sendLog[:0]
@@ -456,21 +437,6 @@ func (e *engine) stepOnce() bool {
 		e.cfg.Sample(e.snapshot())
 	}
 	return true
-}
-
-// closeInterval seals the open stats window at boundary (exclusive) and
-// opens the next one there. Windows with no activity are dropped: a
-// delay-heavy run spends most of its global-step range in gaps where
-// provably nothing happens, and recording those would bloat the series
-// without information.
-func (e *engine) closeInterval(boundary Step) {
-	if e.interval.active() {
-		e.interval.End = boundary
-		e.interval.AwakeCorrect = e.awakeCorrect
-		e.interval.InFlight = e.inflight
-		e.st.Intervals = append(e.st.Intervals, e.interval)
-	}
-	e.interval = IntervalStats{Start: boundary}
 }
 
 // interrupted reports whether the run should stop early: its Cancel
@@ -586,9 +552,6 @@ func (e *engine) deliver(t Step) {
 		if dup {
 			e.st.DupDeliveries++
 		}
-		if e.statsEvery > 0 {
-			e.interval.Deliveries++
-		}
 		// Materialize the boxed Message here, at the protocol boundary —
 		// the only point the payload ref becomes an interface value again.
 		pl := e.payloadVal(m.ref)
@@ -680,9 +643,6 @@ func (e *engine) finishOne(t Step, p ProcID) {
 		e.pt.setAwake(p, false)
 		e.awakeCorrect--
 		e.st.Sleeps++
-		if e.statsEvery > 0 {
-			e.interval.Sleeps++
-		}
 		if e.cfg.Trace != nil {
 			e.trace(TraceEvent{Kind: TraceSleep, Step: t, Proc: p, Other: -1})
 		}
@@ -690,9 +650,6 @@ func (e *engine) finishOne(t Step, p ProcID) {
 		e.pt.setAwake(p, true)
 		e.awakeCorrect++
 		e.st.Wakes++
-		if e.statsEvery > 0 {
-			e.interval.Wakes++
-		}
 		if e.cfg.Trace != nil {
 			e.trace(TraceEvent{Kind: TraceWake, Step: t, Proc: p, Other: -1})
 		}
@@ -729,9 +686,6 @@ func (e *engine) crashProcess(p ProcID) {
 	e.crashCount++
 	e.crashesEver++
 	e.st.Crashes++
-	if e.statsEvery > 0 {
-		e.interval.Crashes++
-	}
 	if e.pt.awake(p) {
 		e.pt.setAwake(p, false)
 		e.awakeCorrect--
@@ -787,9 +741,6 @@ func (e *engine) outcome() Outcome {
 		o.Time = float64(o.TEnd) / float64(norm)
 	}
 	o.Gathered = e.gathered()
-	if e.cfg.KeepPerProcess {
-		o.PerProcessMsgs = append([]int64(nil), e.pt.sent...)
-	}
 	o.Stats = e.stats()
 	return o
 }

@@ -193,7 +193,7 @@ func mustRun(t *testing.T, cfg Config) Outcome {
 
 func TestFloodGathersAndQuiesces(t *testing.T) {
 	rec := &Recorder{}
-	o := mustRun(t, Config{N: 5, F: 0, Protocol: floodProto{}, Seed: 1, Trace: rec, KeepPerProcess: true})
+	o := mustRun(t, Config{N: 5, F: 0, Protocol: floodProto{}, Seed: 1, Trace: rec})
 	if !o.Gathered {
 		t.Error("flood did not gather")
 	}
@@ -215,7 +215,7 @@ func TestFloodGathersAndQuiesces(t *testing.T) {
 	if o.Time != 0.5 {
 		t.Errorf("Time = %v, want 0.5", o.Time)
 	}
-	for p, m := range o.PerProcessMsgs {
+	for p, m := range sendsByProc(rec, 5) {
 		if m != 4 {
 			t.Errorf("process %d sent %d, want 4", p, m)
 		}
@@ -572,6 +572,18 @@ func TestOutboxSendValidation(t *testing.T) {
 	}
 }
 
+// sendsByProc reads M_ρ(O) for every process off a trace: its TraceSend
+// events.
+func sendsByProc(rec *Recorder, n int) []int64 {
+	sends := make([]int64, n)
+	for _, ev := range rec.Events {
+		if ev.Kind == TraceSend {
+			sends[ev.Proc]++
+		}
+	}
+	return sends
+}
+
 func mustPanic(t *testing.T, name string, fn func()) {
 	t.Helper()
 	defer func() {
@@ -585,7 +597,7 @@ func mustPanic(t *testing.T, name string, fn func()) {
 func TestSerialParallelEquivalence(t *testing.T) {
 	prop := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%30 + 2
-		base := Config{N: n, F: 0, Protocol: chaosProto{}, Seed: seed, KeepPerProcess: true}
+		base := Config{N: n, F: 0, Protocol: chaosProto{}, Seed: seed}
 		serial := base
 		serial.Workers = 1
 		parallel := base
@@ -606,7 +618,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 }
 
 func TestRunDeterminism(t *testing.T) {
-	cfg := Config{N: 17, F: 5, Protocol: chaosProto{}, Seed: 77, KeepPerProcess: true}
+	cfg := Config{N: 17, F: 5, Protocol: chaosProto{}, Seed: 77}
 	a := mustRun(t, cfg)
 	b := mustRun(t, cfg)
 	if !reflect.DeepEqual(a.StripWall(), b.StripWall()) {
@@ -617,15 +629,19 @@ func TestRunDeterminism(t *testing.T) {
 func TestMessageAccountingIdentity(t *testing.T) {
 	prop := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw)%20 + 2
-		o, err := Run(Config{N: n, F: 0, Protocol: chaosProto{}, Seed: seed, KeepPerProcess: true})
+		rec := &Recorder{}
+		o, err := Run(Config{N: n, F: 0, Protocol: chaosProto{}, Seed: seed, Trace: rec})
 		if err != nil {
 			return false
 		}
-		var sum int64
-		for _, m := range o.PerProcessMsgs {
+		var sum, byKind int64
+		for _, m := range sendsByProc(rec, n) {
 			sum += m
 		}
-		return sum == o.Messages
+		for _, kc := range o.Stats.MessagesByKind {
+			byKind += kc.Count
+		}
+		return sum == o.Messages && byKind == o.Messages && o.Stats.Sends == o.Messages
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

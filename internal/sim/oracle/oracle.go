@@ -31,7 +31,6 @@ package oracle
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sort"
 
 	"github.com/ugf-sim/ugf/internal/sim"
@@ -105,10 +104,8 @@ type oracle struct {
 	stallBase   int64
 	stalled     bool
 
-	st         sim.Stats
-	kinds      map[string]int64
-	statsEvery sim.Step
-	interval   sim.IntervalStats
+	st    sim.Stats
+	kinds map[string]int64
 }
 
 // omsg is one in-flight message plus its fault markers: dup flags the
@@ -161,7 +158,6 @@ func newOracle(cfg sim.Config) (*oracle, error) {
 		sent:      make([]int64, n), lastSend: make([]sim.Step, n),
 		outboxes:    make([]sim.Outbox, n),
 		kinds:       make(map[string]int64),
-		statsEvery:  cfg.StatsEvery,
 		stallWindow: cfg.StallWindow,
 	}
 	if cfg.Faults.Active() {
@@ -226,9 +222,6 @@ func (e *oracle) run() {
 		}
 		e.now = t
 		e.st.ActiveSteps++
-		if e.statsEvery > 0 && t >= e.interval.Start+e.statsEvery {
-			e.closeInterval(t)
-		}
 		if e.adv != nil {
 			events := e.sendLog
 			e.sendLog = nil
@@ -236,9 +229,6 @@ func (e *oracle) run() {
 		}
 		e.deliver(t)
 		e.localSteps(t)
-	}
-	if e.statsEvery > 0 {
-		e.closeInterval(e.now + 1)
 	}
 }
 
@@ -336,9 +326,6 @@ func (e *oracle) deliver(t sim.Step) {
 		if im.dup {
 			e.st.DupDeliveries++
 		}
-		if e.statsEvery > 0 {
-			e.interval.Deliveries++
-		}
 		e.pending[m.To] = append(e.pending[m.To], m)
 	}
 	if tp := e.totalPending(); tp > e.st.MaxPending {
@@ -402,10 +389,6 @@ func (e *oracle) commitOne(t sim.Step, p sim.ProcID) {
 			kind = d.Payload.Kind()
 		}
 		e.kinds[kind]++
-		if e.statsEvery > 0 {
-			e.interval.Sends++
-			e.interval.DelayHist[delayBucket(e.delay[p])]++
-		}
 		deliverAt := t + e.delay[p]
 		if e.adv != nil {
 			e.sendLog = append(e.sendLog, sim.SendRecord{From: p, To: d.To, SentAt: t, DeliverAt: deliverAt})
@@ -460,49 +443,10 @@ func (e *oracle) commitOne(t sim.Step, p sim.ProcID) {
 	case asleep && e.awake[p]:
 		e.awake[p] = false
 		e.st.Sleeps++
-		if e.statsEvery > 0 {
-			e.interval.Sleeps++
-		}
 	case !asleep && !e.awake[p]:
 		e.awake[p] = true
 		e.st.Wakes++
-		if e.statsEvery > 0 {
-			e.interval.Wakes++
-		}
 	}
-}
-
-func (e *oracle) closeInterval(boundary sim.Step) {
-	iv := &e.interval
-	if iv.Sends != 0 || iv.Deliveries != 0 || iv.Sleeps != 0 || iv.Wakes != 0 || iv.Crashes != 0 || iv.Recoveries != 0 {
-		iv.End = boundary
-		iv.AwakeCorrect = e.awakeCount()
-		iv.InFlight = e.inFlightCt
-		e.st.Intervals = append(e.st.Intervals, *iv)
-	}
-	e.interval = sim.IntervalStats{Start: boundary}
-}
-
-func (e *oracle) awakeCount() int {
-	n := 0
-	for p := 0; p < e.n; p++ {
-		if e.awake[p] {
-			n++
-		}
-	}
-	return n
-}
-
-// delayBucket mirrors the engine's log₂ delay histogram bucketing.
-func delayBucket(d sim.Step) int {
-	b := bits.Len64(uint64(d)) - 1
-	if b < 0 {
-		b = 0
-	}
-	if max := len(sim.IntervalStats{}.DelayHist) - 1; b > max {
-		b = max
-	}
-	return b
 }
 
 func (e *oracle) outcome() sim.Outcome {
@@ -540,9 +484,6 @@ func (e *oracle) outcome() sim.Outcome {
 		o.Time = float64(o.TEnd) / float64(norm)
 	}
 	o.Gathered = e.gathered()
-	if e.cfg.KeepPerProcess {
-		o.PerProcessMsgs = append([]int64(nil), e.sent...)
-	}
 	st := e.st
 	st.Events = e.eventCount
 	st.Sends = e.msgTotal
@@ -620,9 +561,6 @@ func (e *oracle) Crash(p sim.ProcID) bool {
 	e.crashesEver++
 	e.lastCrash[p] = e.now
 	e.st.Crashes++
-	if e.statsEvery > 0 {
-		e.interval.Crashes++
-	}
 	e.awake[p] = false
 	e.pending[p] = nil
 	return true
@@ -640,9 +578,6 @@ func (e *oracle) Recover(p sim.ProcID, amnesia bool) bool {
 	e.crashed[p] = false
 	e.crashCount--
 	e.st.Recoveries++
-	if e.statsEvery > 0 {
-		e.interval.Recoveries++
-	}
 	e.anchor[p] = e.now
 	if amnesia {
 		if f, ok := e.procs[p].(sim.Forgetter); ok {

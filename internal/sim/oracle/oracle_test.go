@@ -18,27 +18,23 @@ import (
 // that runs under -short and pins every protocol×adversary pairing.
 func TestOracleMatchesEngine(t *testing.T) {
 	type dims struct {
-		n, f       int
-		seed       uint64
-		statsEvery sim.Step
-		keepPer    bool
+		n, f int
+		seed uint64
 	}
 	cases := []dims{
 		{n: 1, f: 0, seed: 1},
-		{n: 3, f: 1, seed: 2, keepPer: true},
-		{n: 11, f: 3, seed: 3, statsEvery: 64},
+		{n: 3, f: 1, seed: 2},
+		{n: 11, f: 3, seed: 3},
 	}
 	for _, pname := range gossip.Names() {
 		for _, aname := range adversary.Names() {
 			for _, d := range cases {
 				cfg := sim.Config{
-					N:              d.n,
-					F:              d.f,
-					Protocol:       gossip.MustByName(pname),
-					Adversary:      adversary.MustByName(aname),
-					Seed:           d.seed,
-					StatsEvery:     d.statsEvery,
-					KeepPerProcess: d.keepPer,
+					N:         d.n,
+					F:         d.f,
+					Protocol:  gossip.MustByName(pname),
+					Adversary: adversary.MustByName(aname),
+					Seed:      d.seed,
 				}
 				got, err := sim.Run(cfg)
 				if err != nil {
@@ -49,8 +45,8 @@ func TestOracleMatchesEngine(t *testing.T) {
 					t.Fatalf("%s/%s n=%d: oracle: %v", pname, aname, d.n, err)
 				}
 				if diffs := simtest.DiffOutcomes(got, want); len(diffs) != 0 {
-					t.Errorf("%s/%s n=%d f=%d seed=%d statsEvery=%d: engine and oracle diverge:",
-						pname, aname, d.n, d.f, d.seed, d.statsEvery)
+					t.Errorf("%s/%s n=%d f=%d seed=%d: engine and oracle diverge:",
+						pname, aname, d.n, d.f, d.seed)
 					for _, diff := range diffs {
 						t.Errorf("  %s", diff)
 					}

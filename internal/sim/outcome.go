@@ -61,14 +61,10 @@ type Outcome struct {
 	// journaled or replayed. Cancelled implies HorizonHit.
 	Cancelled bool
 
-	// PerProcessMsgs holds M_ρ(O) for each process, only when
-	// Config.KeepPerProcess was set (it is O(N) memory per outcome).
-	PerProcessMsgs []int64
-
 	// Stats is the engine's always-on observability block: event, message,
-	// scheduler and adversary-intervention counters, the optional interval
-	// series (Config.StatsEvery), and per-phase wall times. Every field
-	// except Stats.Wall is a pure function of (Config, Seed).
+	// scheduler and adversary-intervention counters, and per-phase wall
+	// times. Every field except Stats.Wall is a pure function of (Config,
+	// Seed).
 	Stats Stats
 }
 

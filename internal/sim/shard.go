@@ -106,8 +106,7 @@ type shardLane struct {
 	kinds    []KindCount
 	lastKind int
 
-	n         laneCounts
-	delayHist [delayHistBuckets]int64
+	n laneCounts
 
 	res  []int32 // per-process scratch: staging index → lane slot
 	kres []int32 // staging index → lane kind index
@@ -258,18 +257,13 @@ func (e *engine) prepareOne(t Step, p ProcID, ln *shardLane) {
 	}
 	ln.res, ln.kres, ln.cnt = res, kres, cnt
 	omitted := e.pt.omitted(p)
-	delay := e.pt.delay[p]
-	deliverAt := t + delay
-	statsOn := e.statsEvery > 0
+	deliverAt := t + e.pt.delay[p]
 	for _, d := range ob.drafts {
 		to := ProcID(d.to)
 		ln.n.sends++
 		e.pt.sent[p]++
 		e.pt.lastSend[p] = t
 		ln.kinds[kres[d.pi]].Count++
-		if statsOn {
-			ln.delayHist[delayBucket(delay)]++
-		}
 		if e.adv != nil {
 			// Only an adversary reads the send log; without one, appending
 			// would grow an O(M) slice nobody drains.
@@ -392,15 +386,6 @@ func (e *engine) foldCounts(ln *shardLane) {
 	e.totalPending -= n.pending
 	e.inflight += n.inflight
 	e.inflightToCorrect += n.inflight
-	if e.statsEvery > 0 {
-		e.interval.Sends += n.sends
-		for i, v := range ln.delayHist {
-			if v != 0 {
-				e.interval.DelayHist[i] += v
-				ln.delayHist[i] = 0
-			}
-		}
-	}
 	*n = laneCounts{}
 	// In-flight only grows during a commit phase, so the folded value is
 	// the maximum of everything folded so far.

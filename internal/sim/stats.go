@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math/bits"
 	"sort"
 	"time"
 )
@@ -17,8 +16,7 @@ import (
 // The counters are designed to cost a handful of integer operations per
 // engine event and to allocate nothing during the run: payload kinds are
 // counted through a small linear-probed slice (protocols use a handful of
-// kinds), and the optional interval series is appended to a pre-grown
-// slice.
+// kinds).
 type Stats struct {
 	// Events is the number of engine events processed: local steps plus
 	// sends (the quantity Config.MaxEvents cuts off on).
@@ -96,10 +94,6 @@ type Stats struct {
 	// MessagesByKind breaks Sends down by Payload.Kind(), sorted by kind.
 	MessagesByKind []KindCount
 
-	// Intervals is the optional per-interval series; empty unless
-	// Config.StatsEvery was set.
-	Intervals []IntervalStats
-
 	// Wall holds the real-time cost of the run's phases. It is the one
 	// non-deterministic part of Stats: exclude it when comparing runs.
 	Wall WallStats
@@ -147,63 +141,9 @@ type WallStats struct {
 	ShardImbalance float64 `json:",omitempty"`
 }
 
-// delayHistBuckets is the size of the per-interval delivery-delay
-// histogram: bucket i counts sends whose delivery delay d (in global
-// steps) has bit length i+1, i.e. 2^i ≤ d < 2^(i+1), with the last bucket
-// absorbing everything larger. 48 buckets cover every delay an adversary
-// can express before Step overflows.
-const delayHistBuckets = 48
-
-// IntervalStats is one point of the optional dissemination/delay series
-// (Config.StatsEvery): activity counters for the global-step window
-// [Start, End), plus the system state at the window's close. The series
-// is the cheap, O(1)-per-event stand-in for Config.Sample's O(N²)
-// coverage snapshots — AwakeCorrect decaying to zero traces the
-// dissemination's settling, and DelayHist exposes how hard the adversary
-// is stretching deliveries.
-type IntervalStats struct {
-	// Start and End delimit the window: Start ≤ t < End.
-	Start, End Step
-	// Sends, Deliveries, Sleeps, Wakes, Crashes and Recoveries count the
-	// window's events, same meanings as the run-wide counters. Recoveries
-	// is omitempty so recovery-free series keep their JSON encoding.
-	Sends      int64
-	Deliveries int64
-	Sleeps     int64
-	Wakes      int64
-	Crashes    int64
-	Recoveries int64 `json:",omitempty"`
-	// AwakeCorrect and InFlight are the system state when the window
-	// closed.
-	AwakeCorrect int
-	InFlight     int64
-	// DelayHist is the log₂ histogram of the delivery delays of the
-	// window's sends (see delayHistBuckets).
-	DelayHist [delayHistBuckets]int64
-}
-
-// delayBucket maps a delivery delay to its DelayHist bucket.
-func delayBucket(d Step) int {
-	b := bits.Len64(uint64(d)) - 1
-	if b < 0 {
-		b = 0
-	}
-	if b >= delayHistBuckets {
-		b = delayHistBuckets - 1
-	}
-	return b
-}
-
-// active reports whether the window counted anything.
-func (iv *IntervalStats) active() bool {
-	return iv.Sends != 0 || iv.Deliveries != 0 || iv.Sleeps != 0 ||
-		iv.Wakes != 0 || iv.Crashes != 0 || iv.Recoveries != 0
-}
-
 // Merge folds other into s: counters add, high-water marks take the
-// maximum, per-kind counts combine, and wall times accumulate. Interval
-// series are not merged — they describe one run's timeline — so s keeps
-// its own. Use it to aggregate the Stats of a sweep's outcomes.
+// maximum, per-kind counts combine, and wall times accumulate. Use it to
+// aggregate the Stats of a sweep's outcomes.
 func (s *Stats) Merge(other *Stats) {
 	s.Events += other.Events
 	s.ActiveSteps += other.ActiveSteps

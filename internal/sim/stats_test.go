@@ -129,9 +129,8 @@ func TestShardWallOnlyWhenForked(t *testing.T) {
 	}
 }
 
-// TestStatsSinkNeutrality: attaching trace sinks or interval statistics
-// must not change the outcome or the run-wide counters — observation is
-// pure.
+// TestStatsSinkNeutrality: attaching a trace sink must not change the
+// outcome or the run-wide counters — observation is pure.
 func TestStatsSinkNeutrality(t *testing.T) {
 	base := Config{N: 25, F: 8, Protocol: chaosProto{}, Adversary: chaosAdversary{}, Seed: 3}
 	plain := mustRun(t, base)
@@ -141,79 +140,6 @@ func TestStatsSinkNeutrality(t *testing.T) {
 	got := mustRun(t, traced)
 	if !reflect.DeepEqual(plain.StripWall(), got.StripWall()) {
 		t.Errorf("trace sink changed the outcome:\n%+v\n%+v", plain, got)
-	}
-
-	sampled := base
-	sampled.StatsEvery = 4
-	got = mustRun(t, sampled)
-	if len(got.Stats.Intervals) == 0 {
-		t.Fatal("StatsEvery set but no intervals recorded")
-	}
-	got.Stats.Intervals = nil
-	if !reflect.DeepEqual(plain.StripWall(), got.StripWall()) {
-		t.Errorf("interval stats changed the outcome:\n%+v\n%+v", plain, got)
-	}
-}
-
-// TestStatsIntervals checks the optional series: windows are ordered and
-// disjoint, every window counted something (inert windows are dropped),
-// and the windows partition the run-wide activity counters exactly.
-func TestStatsIntervals(t *testing.T) {
-	o := mustRun(t, Config{
-		N: 30, F: 10, Protocol: chaosProto{}, Adversary: chaosAdversary{},
-		Seed: 5, StatsEvery: 8,
-	})
-	ivs := o.Stats.Intervals
-	if len(ivs) == 0 {
-		t.Fatal("no intervals")
-	}
-	var sends, deliveries, sleeps, wakes, crashes, hist int64
-	for i, iv := range ivs {
-		if iv.End <= iv.Start {
-			t.Errorf("interval %d: empty window [%d, %d)", i, iv.Start, iv.End)
-		}
-		if i > 0 && iv.Start < ivs[i-1].End {
-			t.Errorf("interval %d starts at %d, before previous end %d", i, iv.Start, ivs[i-1].End)
-		}
-		if !iv.active() {
-			t.Errorf("interval %d recorded nothing — inert windows must be dropped", i)
-		}
-		sends += iv.Sends
-		deliveries += iv.Deliveries
-		sleeps += iv.Sleeps
-		wakes += iv.Wakes
-		crashes += iv.Crashes
-		for _, c := range iv.DelayHist {
-			hist += c
-		}
-	}
-	s := o.Stats
-	if sends != s.Sends || deliveries != s.Deliveries || sleeps != s.Sleeps ||
-		wakes != s.Wakes || crashes != s.Crashes {
-		t.Errorf("interval sums (S=%d D=%d sl=%d w=%d c=%d) ≠ run totals (S=%d D=%d sl=%d w=%d c=%d)",
-			sends, deliveries, sleeps, wakes, crashes,
-			s.Sends, s.Deliveries, s.Sleeps, s.Wakes, s.Crashes)
-	}
-	if hist != sends {
-		t.Errorf("delay histogram counts %d sends, want %d", hist, sends)
-	}
-	if last := ivs[len(ivs)-1]; last.AwakeCorrect != 0 {
-		t.Errorf("final interval AwakeCorrect = %d, want 0 after quiescence", last.AwakeCorrect)
-	}
-}
-
-func TestDelayBucket(t *testing.T) {
-	cases := []struct {
-		d    Step
-		want int
-	}{
-		{0, 0}, {1, 0}, {2, 1}, {3, 1}, {4, 2}, {7, 2}, {8, 3},
-		{1 << 20, 20}, {1<<62 + 5, delayHistBuckets - 1},
-	}
-	for _, c := range cases {
-		if got := delayBucket(c.d); got != c.want {
-			t.Errorf("delayBucket(%d) = %d, want %d", c.d, got, c.want)
-		}
 	}
 }
 
@@ -241,18 +167,5 @@ func TestStatsMerge(t *testing.T) {
 	}
 	if a.Wall.Run != 7 {
 		t.Errorf("Wall.Run = %v, want 7", a.Wall.Run)
-	}
-}
-
-// BenchmarkStatsOverheadBaseline exists to compare against the seed's
-// BenchmarkEngineLargeN numbers; the always-on counters must stay within
-// the noise band (see scripts/bench_gate.sh for the enforced gate).
-func BenchmarkStatsIntervalSeries(b *testing.B) {
-	cfg := Config{N: 500, F: 150, Protocol: chaosProto{}, Adversary: chaosAdversary{}, Seed: 9, StatsEvery: 16}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -63,9 +63,6 @@ func (e *engine) Recover(p ProcID, amnesia bool) bool {
 	e.crashCount--
 	e.everRecovered = true
 	e.st.Recoveries++
-	if e.statsEvery > 0 {
-		e.interval.Recoveries++
-	}
 	e.pt.anchor[p] = e.now
 	note := "retain"
 	if amnesia {

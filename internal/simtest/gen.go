@@ -72,15 +72,18 @@ func Gen(genSeed uint64) Case {
 	}
 
 	cfg := sim.Config{
-		N:              n,
-		F:              f,
-		Protocol:       gossip.MustByName(pname),
-		Adversary:      adv,
-		Seed:           r.Uint64(),
-		KeepPerProcess: r.Bernoulli(0.5),
+		N:         n,
+		F:         f,
+		Protocol:  gossip.MustByName(pname),
+		Adversary: adv,
+		Seed:      r.Uint64(),
 	}
+	// These draws once chose two removed observability knobs (per-process
+	// counters, interval-series width). They stay so that every generated
+	// case and fuzz-corpus entry still decodes to the same run.
+	r.Bernoulli(0.5)
 	if r.Bernoulli(0.5) {
-		cfg.StatsEvery = 1 << r.Intn(10)
+		r.Intn(10)
 	}
 	if r.Intn(8) == 0 {
 		cfg.MaxEvents = 1000 + r.Int63n(5000)
@@ -158,8 +161,7 @@ const oracleEventBudget = 60_000_000
 // genBig draws a large-N case from the synthetic engine workloads
 // (workload.go): N from 1k to 50k, a workload with O(1) per-process
 // state, and occasionally a Script adversary so crashes, rewrites, and
-// omission are exercised at scale too. KeepPerProcess stays off — an
-// O(N) outcome column per case would dominate diffing, not the engine.
+// omission are exercised at scale too.
 func genBig(r *xrand.RNG, genSeed uint64) Case {
 	sizes := []int{1000, 2000, 4000, 8000, 16000, 32000, 50000}
 	n := sizes[r.Intn(len(sizes))]
@@ -179,8 +181,8 @@ func genBig(r *xrand.RNG, genSeed uint64) Case {
 		Adversary: adv,
 		Seed:      r.Uint64(),
 	}
-	if r.Bernoulli(0.25) {
-		cfg.StatsEvery = 1 << r.Intn(10)
+	if r.Bernoulli(0.25) { // the removed interval-series width; see Gen
+		r.Intn(10)
 	}
 
 	return Case{

@@ -6,8 +6,7 @@
 // (internal/gossip, internal/adversary) with parameter overrides validated
 // against the registries' schemas, and carries every Config field that
 // determines the run's Outcome: N, F, seed, horizon, event cap, link-fault
-// plan, stall window, and the outcome-shaping observability knobs
-// (StatsEvery, KeepPerProcess). Outcome-neutral knobs — Workers/shards,
+// plan, topology and stall window. Outcome-neutral knobs — Workers/shards,
 // tracing, sampling, wall-clock watchdogs — are deliberately excluded, so
 // the same spec fingerprints identically however it is executed.
 //
@@ -92,11 +91,6 @@ type Spec struct {
 	Topology string `json:"topology,omitempty"`
 	// StallWindow mirrors sim.Config.StallWindow (0: off).
 	StallWindow int64 `json:"stall_window,omitempty"`
-	// StatsEvery and KeepPerProcess mirror sim.Config: they change the
-	// Outcome's content (the interval series, the per-process counters),
-	// so they are part of the run's identity.
-	StatsEvery     int64 `json:"stats_every,omitempty"`
-	KeepPerProcess bool  `json:"keep_per_process,omitempty"`
 }
 
 // Error is a structured spec-validation failure: the offending field, the
@@ -160,9 +154,6 @@ func (s Spec) Config() (sim.Config, error) {
 	if s.StallWindow < 0 {
 		return sim.Config{}, &Error{Field: "stall_window", Msg: fmt.Sprintf("StallWindow = %d, need ≥ 0", s.StallWindow)}
 	}
-	if s.StatsEvery < 0 {
-		return sim.Config{}, &Error{Field: "stats_every", Msg: fmt.Sprintf("StatsEvery = %d, need ≥ 0", s.StatsEvery)}
-	}
 	if s.Protocol == "" {
 		return sim.Config{}, &Error{Field: "protocol", Msg: "protocol is required"}
 	}
@@ -190,7 +181,6 @@ func (s Spec) Config() (sim.Config, error) {
 		N: s.N, F: s.F, Protocol: proto, Adversary: adv, Seed: s.Seed,
 		Horizon: sim.Step(s.Horizon), MaxEvents: s.MaxEvents,
 		Faults: plan, Topology: topo, StallWindow: s.StallWindow,
-		StatsEvery: sim.Step(s.StatsEvery), KeepPerProcess: s.KeepPerProcess,
 	}, nil
 }
 
@@ -231,7 +221,6 @@ func FromConfig(cfg sim.Config) (Spec, error) {
 		N: cfg.N, F: cfg.F, Seed: cfg.Seed,
 		Horizon: int64(cfg.Horizon), MaxEvents: cfg.MaxEvents,
 		StallWindow: cfg.StallWindow,
-		StatsEvery:  int64(cfg.StatsEvery), KeepPerProcess: cfg.KeepPerProcess,
 	}
 	if cfg.Faults.Active() {
 		s.Faults = cfg.Faults.String()
@@ -346,17 +335,17 @@ func SeriesFingerprint(baseSeed uint64, base sim.Config) string {
 	if base.Topology.Active() {
 		topo = base.Topology.String()
 	}
-	opaque := fmt.Sprintf("opaque|%d|%d|%d|%d|%T%+v|%T%+v|%s|%s|%d|%d|%v",
+	opaque := fmt.Sprintf("opaque|%d|%d|%d|%d|%T%+v|%T%+v|%s|%s|%d",
 		base.N, base.F, base.Horizon, base.MaxEvents,
 		base.Protocol, base.Protocol, base.Adversary, base.Adversary,
-		faults, topo, base.StallWindow, base.StatsEvery, base.KeepPerProcess)
+		faults, topo, base.StallWindow)
 	return sum64([]byte(prefix + opaque))
 }
 
 // OutcomeHash is the content hash of a deterministic outcome: FNV-64a
-// over the JSON encoding of o.StripWall(). Every Stats counter, the
-// interval series, and the per-process counts feed the hash, so an engine
-// change that shifts any of them by one moves it. The golden matrices pin
+// over the JSON encoding of o.StripWall(). Every outcome field and every
+// Stats counter feed the hash, so an engine change that shifts any of them
+// by one moves it. The golden matrices pin
 // these hashes; the sweep service uses them to assert byte-identity
 // between distributed and local execution.
 func OutcomeHash(o sim.Outcome) string {

@@ -85,8 +85,6 @@ func TestFingerprintMovesWithOutcomeFields(t *testing.T) {
 	add("topology", func(s *Spec) { s.Topology = "ring" })
 	add("topology param", func(s *Spec) { s.Topology = "k-regular,k=6" })
 	add("stall window", func(s *Spec) { s.StallWindow = 4096 })
-	add("stats every", func(s *Spec) { s.StatsEvery = 10 })
-	add("keep per process", func(s *Spec) { s.KeepPerProcess = true })
 	for name, s := range mutations {
 		if err := s.Validate(); err != nil {
 			t.Errorf("%s mutation invalid: %v", name, err)
@@ -231,7 +229,21 @@ func TestSeriesFingerprintFallback(t *testing.T) {
 	if got := SeriesFingerprint(1, withTopo); got == fp {
 		t.Error("fallback fingerprint ignored the topology")
 	}
+	// Journals of custom-type series are keyed by this value: it moves
+	// only when the opaque encoding does.
+	custom := sim.Config{N: 10, F: 1, Protocol: customProto{Fanout: 3}, Horizon: 500,
+		Faults: &sim.FaultPlan{Seed: 2, Drop: 0.1}, StallWindow: 64}
+	if got, want := SeriesFingerprint(1, custom), "ad9f415735c3af4c"; got != want {
+		t.Errorf("custom-type series key %s, want %s", got, want)
+	}
 }
+
+// customProto is a protocol outside the registries: it has no spec
+// encoding, so series over it take the opaque fallback.
+type customProto struct{ Fanout int }
+
+func (customProto) Name() string                     { return "custom" }
+func (customProto) New(envs []sim.Env) []sim.Process { return nil }
 
 // TestTopologyCompleteElides: the complete graph is the default and must
 // elide from canonical form — "" and "complete" fingerprint identically,

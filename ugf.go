@@ -47,7 +47,6 @@ import (
 	"github.com/ugf-sim/ugf/internal/adversary"
 	"github.com/ugf-sim/ugf/internal/core"
 	"github.com/ugf-sim/ugf/internal/gossip"
-	"github.com/ugf-sim/ugf/internal/params"
 	"github.com/ugf-sim/ugf/internal/service"
 	"github.com/ugf-sim/ugf/internal/sim"
 	"github.com/ugf-sim/ugf/internal/sim/trace"
@@ -108,9 +107,6 @@ type (
 	Stats = sim.Stats
 	// KindCount is one payload-kind counter of Stats.MessagesByKind.
 	KindCount = sim.KindCount
-	// IntervalStats is one window of the optional per-interval series
-	// (Config.StatsEvery).
-	IntervalStats = sim.IntervalStats
 	// WallStats is a run's wall-clock cost by phase.
 	WallStats = sim.WallStats
 	// FaultPlan is a deterministic per-link fault model (Config.Faults):
@@ -165,16 +161,6 @@ func ParseFaultPlan(s string) (*FaultPlan, error) { return sim.ParseFaultPlan(s)
 // "expander,k=4,seed=9", or "radio,k=3,seed=2" into a Topology for
 // Config.Topology. An empty spec yields nil (the complete graph).
 func ParseTopology(s string) (*Topology, error) { return sim.ParseTopology(s) }
-
-// AllKinds is the KindMask accepting every trace kind.
-const AllKinds = sim.AllKinds
-
-// MaskOf builds a KindMask from the given kinds.
-func MaskOf(kinds ...TraceKind) KindMask { return sim.MaskOf(kinds...) }
-
-// ParseTraceKind resolves a kind name ("send", "arrive", …) to its
-// TraceKind — the inverse of TraceKind.String, for CLI filter flags.
-func ParseTraceKind(name string) (TraceKind, bool) { return sim.ParseTraceKind(name) }
 
 // NewJSONLTrace returns a streaming JSONL trace sink writing to w; the
 // caller keeps ownership of w.
@@ -285,39 +271,19 @@ type (
 	// Spec names a protocol and adversary from the registries, overlays
 	// parameter diffs, and fixes N/F/seed and the run limits. Spec.Config
 	// is the one blessed path from a serialized description to a runnable
-	// Config; SpecFromConfig is its inverse for registry-built configs.
+	// Config.
 	Spec = spec.Spec
 	// SpecError is the structured validation error every Spec rejection
 	// carries: the offending field, the parameter within it, and a message.
 	SpecError = spec.Error
-	// ParamSchema describes one tunable parameter of a registered protocol
-	// or adversary: wire name, kind, default, and bounds.
-	ParamSchema = params.Schema
 	// SweepClient speaks the sweep service's HTTP job API: submit spec
 	// grids, stream results, fetch cached runs, and work leases.
 	SweepClient = service.Client
 )
 
-// SpecVersion is the current spec schema version; Spec.Validate rejects
-// higher versions.
-const SpecVersion = spec.Version
-
 // ParseSpec decodes and validates a JSON spec, rejecting unknown fields.
 // Failures are *SpecError values naming the offending field.
 func ParseSpec(data []byte) (Spec, error) { return spec.ParseSpec(data) }
-
-// Fingerprint returns the spec's content-addressed identity: the FNV-64a
-// hash of its canonical JSON, stable under field reordering, default
-// elision, and parameter spelling. It is the repo's ONE fingerprint
-// implementation — the result cache, the run journal, and the HTTP API
-// all key off it.
-func Fingerprint(s Spec) string { return s.Fingerprint() }
-
-// SpecFromConfig extracts the canonical Spec of a registry-built Config —
-// the inverse of Spec.Config. Configs carrying protocol or adversary
-// types outside the registries are not spec-expressible and return an
-// error.
-func SpecFromConfig(cfg Config) (Spec, error) { return spec.FromConfig(cfg) }
 
 // OutcomeHash collapses an outcome's deterministic projection (every
 // field except Stats.Wall) to a 16-hex-digit FNV-64a hash — the equality
@@ -327,36 +293,3 @@ func OutcomeHash(o Outcome) string { return spec.OutcomeHash(o) }
 // NewSweepClient returns a client for the sweep coordinator at baseURL
 // (the address ugfbench -serve listens on).
 func NewSweepClient(baseURL string) *SweepClient { return service.NewClient(baseURL) }
-
-// ProtocolSchemas lists each registered protocol's parameter schemas by
-// name — what a client needs to construct valid Specs without guessing.
-func ProtocolSchemas() map[string][]ParamSchema {
-	out := make(map[string][]ParamSchema)
-	for _, e := range gossip.Entries() {
-		out[e.Name] = e.Params
-	}
-	return out
-}
-
-// AdversarySchemas lists each registered adversary's parameter schemas by
-// name, mirroring ProtocolSchemas.
-func AdversarySchemas() map[string][]ParamSchema {
-	out := make(map[string][]ParamSchema)
-	for _, e := range adversary.Entries() {
-		out[e.Name] = e.Params
-	}
-	return out
-}
-
-// BuildProtocol constructs a registered protocol with a parameter overlay
-// applied over the registry default — ProtocolByName plus validated
-// parameterization.
-func BuildProtocol(name string, p map[string]float64) (Protocol, error) {
-	return gossip.Build(name, p)
-}
-
-// BuildAdversary constructs a registered adversary with a parameter
-// overlay, mirroring BuildProtocol. Building "none" yields nil.
-func BuildAdversary(name string, p map[string]float64) (Adversary, error) {
-	return adversary.Build(name, p)
-}

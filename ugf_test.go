@@ -79,7 +79,6 @@ func TestAdversaryRegistry(t *testing.T) {
 func TestFacadeDeterminism(t *testing.T) {
 	cfg := ugf.Config{
 		N: 25, F: 7, Protocol: ugf.SEARS{}, Adversary: ugf.UGF{}, Seed: 99,
-		KeepPerProcess: true,
 	}
 	a, err := ugf.Run(cfg)
 	if err != nil {
